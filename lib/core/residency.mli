@@ -1,20 +1,21 @@
 (** The residency layer: joint ownership of the image cache and the
     address-space arenas.
 
-    Historically the cache and the arenas were reconciled ad hoc inside
-    [Server.link_in_arena] and [Server.evict_to_budget] and could
-    silently diverge: a cache hit could map an image over another
-    library's range, evicting a [static:] entry released lib-arena
-    intervals it never owned, and a stale candidate could shadow the
-    real construction with an empty one. This module makes the
-    lifecycle explicit: every {!Cache.entry} carries a residency state,
-    reservations are acquired and released only through here, and
+    Reconciling the cache and the arenas ad hoc, at each place that
+    links or evicts, lets them silently diverge: a cache hit can map an
+    image over another library's range, evicting a [static:] entry can
+    release lib-arena intervals it never owned, and a stale candidate
+    can shadow the real construction with an empty one. This module
+    makes the lifecycle explicit: every {!Cache.entry} carries a
+    residency state, reservations are acquired and released only
+    through here (the server's parse, place and link stages and
+    [Server.evict_to_budget] all go through it), and
     {!check_invariants} asserts the cache and the arenas agree.
 
     A deterministic fault-injection hook — seeded by the simulated
     clock, configured through [Server.create] — can force placement
-    conflicts, eviction storms and reserve failures, so the historical
-    bug cluster stays reproducible under test. Everything is observable
+    conflicts, eviction storms and reserve failures, so those
+    divergences stay reproducible under test. Everything is observable
     through [residency.*] telemetry counters. *)
 
 (** Per-fault firing rates in [0,1]; a rate of 1.0 fires on every

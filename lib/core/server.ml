@@ -80,6 +80,10 @@ type job = {
       (* followers coalesced onto this job before its journal frame
          opened; replayed as Coalesced events when lint opens it *)
   mutable joutcome : (response, exn) result option;
+  jsync : bool;
+      (* nested request: its stages run by direct call, not the scheduler *)
+  mutable jnext : (string * (unit -> unit)) option;
+      (* a synchronous job's next stage, run by [run_sync] *)
 }
 
 and response = {
@@ -129,10 +133,6 @@ type t = {
       (* graph-node digest -> reuse verdict, rebuilt on registration *)
   mutable subtree_reuse : bool; (* consult the memo table during eval? *)
   mutable conflicts : conflict list;
-  (* charge server-side build work to the simulated clock? The paper's
-     common case is install-time generation, so misses normally charge;
-     benches can turn it off to isolate steady state. *)
-  mutable charge_build_work : bool;
   (* -- the staged request pipeline -- *)
   sched : Simos.Sched.t;
   jobs : (int, job) Hashtbl.t; (* ticket -> job (pruned on delivery) *)
@@ -174,19 +174,26 @@ let wait_share_note_threshold = 0.5
 
 (* -- construction --------------------------------------------------------- *)
 
+(* Resolve a server-object path to the graph it names. The one name
+   lookup behind both the evaluation env (which raises) and the
+   symbol-flow analyzer (which must never raise). *)
+let lookup_graph (ns : Namespace.t) (path : string) :
+    (Blueprint.Mgraph.node, string) result =
+  match Namespace.lookup ns path with
+  | Some (Namespace.Fragment o) -> Ok (Blueprint.Mgraph.Leaf o)
+  | Some (Namespace.Meta m) -> Ok (Blueprint.Meta.effective_graph m ~spec:None)
+  | Some (Namespace.Directory _) -> Error (path ^ " is a directory")
+  | None -> Error ("unknown server object " ^ path)
+
 let create ~(kernel : Simos.Kernel.t) ?(faults : Residency.faults option) () : t
     =
   let ns = Namespace.create () in
   let env =
     Blueprint.Mgraph.make_env
       ~resolve:(fun path ->
-        match Namespace.lookup ns path with
-        | Some (Namespace.Fragment o) -> Blueprint.Mgraph.Leaf o
-        | Some (Namespace.Meta m) -> Blueprint.Meta.effective_graph m ~spec:None
-        | Some (Namespace.Directory _) ->
-            raise (Blueprint.Mgraph.Eval_error (path ^ " is a directory"))
-        | None ->
-            raise (Blueprint.Mgraph.Eval_error ("unknown server object " ^ path)))
+        match lookup_graph ns path with
+        | Ok n -> n
+        | Error msg -> raise (Blueprint.Mgraph.Eval_error msg))
       ()
   in
   (* Telemetry timestamps follow the simulated clock from here on, so
@@ -246,7 +253,6 @@ let create ~(kernel : Simos.Kernel.t) ?(faults : Residency.faults option) () : t
     impact_plan = Hashtbl.create 64;
     subtree_reuse = true;
     conflicts = [];
-    charge_build_work = true;
     sched;
     jobs = Hashtbl.create 64;
     inflight = 0;
@@ -283,7 +289,6 @@ let kernel (t : t) : Simos.Kernel.t = t.kernel
 let text_arena (t : t) : Constraints.Placement.t = t.text_arena
 let data_arena (t : t) : Constraints.Placement.t = t.data_arena
 let residency (t : t) : Residency.t = t.residency
-let set_charge_build_work (t : t) (b : bool) : unit = t.charge_build_work <- b
 
 let set_self_check (t : t) (b : bool) : unit =
   Residency.set_self_check t.residency b
@@ -291,15 +296,9 @@ let set_self_check (t : t) (b : bool) : unit =
 let add_fragment (t : t) (path : string) (o : Sof.Object_file.t) : unit =
   Namespace.bind_fragment t.ns path o
 
-(* Result-returning twin of the evaluation env's resolve, for the
-   symbol-flow analyzer (which must never raise). *)
 let resolve_graph (t : t) (path : string) :
     (Blueprint.Mgraph.node, string) result =
-  match Namespace.lookup t.ns path with
-  | Some (Namespace.Fragment o) -> Ok (Blueprint.Mgraph.Leaf o)
-  | Some (Namespace.Meta m) -> Ok (Blueprint.Meta.effective_graph m ~spec:None)
-  | Some (Namespace.Directory _) -> Error (path ^ " is a directory")
-  | None -> Error ("unknown server object " ^ path)
+  lookup_graph t.ns path
 
 (* Re-run the subtree dependence analysis over every bound meta-object
    and rebuild the reuse plan from the resulting trees. Re-analyzing
@@ -464,13 +463,11 @@ let eval (t : t) (node : Blueprint.Mgraph.node) : Blueprint.Mgraph.result =
 let charge_link (t : t) (stats : Linker.Link.stats) : unit =
   t.work.links <- t.work.links + 1;
   t.work.relocs <- t.work.relocs + stats.Linker.Link.relocs_applied;
-  if t.charge_build_work then begin
-    let cost = t.kernel.Simos.Kernel.cost in
-    Simos.Kernel.charge_sys t.kernel
-      (cost.Simos.Cost.reloc_apply *. float_of_int stats.Linker.Link.relocs_applied);
-    Simos.Kernel.charge_sys t.kernel
-      (cost.Simos.Cost.symbol_lookup *. float_of_int stats.Linker.Link.symbols_resolved)
-  end
+  let cost = t.kernel.Simos.Kernel.cost in
+  Simos.Kernel.charge_sys t.kernel
+    (cost.Simos.Cost.reloc_apply *. float_of_int stats.Linker.Link.relocs_applied);
+  Simos.Kernel.charge_sys t.kernel
+    (cost.Simos.Cost.symbol_lookup *. float_of_int stats.Linker.Link.symbols_resolved)
 
 (* Human-readable placement decision for the provenance record. *)
 let placement_summary
@@ -516,186 +513,6 @@ let prefs_for (seg : Blueprint.Mgraph.seg) (cs : Blueprint.Mgraph.constraint_pre
     Stale builts must be re-requested before mapping. *)
 let built_evicted (b : built) : bool =
   b.entry.Cache.residency = Cache.Evicted
-
-(* Place and link an evaluated module into the shared arenas (library
-   path). Reuses a cached placement when the constraint system allows —
-   the paper's "highly desired" reuse constraint. [r] is forced only
-   when no cached placement can be revived, so warm hits never
-   re-evaluate the graph, and rebuilds always link the real module. *)
-let link_in_arena (t : t) ~(name : string) ~(cache_key : string)
-    ?(externals = []) (r : Blueprint.Mgraph.result Lazy.t) : built =
-  let build_fresh () =
-    (* open the binding-journal frame before the graph is forced, so
-       every jigsaw operator and the link below record into it *)
-    Telemetry.Provenance.begin_build ();
-    (* registration-time lint findings travel with every build of the
-       meta, so explain/trace surface them next to binding decisions *)
-    (match Hashtbl.find_opt t.lints name with
-    | Some (rep : Analysis.Lint.report) ->
-        List.iter
-          (fun (f : Analysis.Lint.finding) ->
-            Telemetry.Provenance.record_lint ~code:f.Analysis.Lint.code
-              ~severity:
-                (Analysis.Lint.severity_to_string f.Analysis.Lint.severity)
-              ~path:f.Analysis.Lint.path f.Analysis.Lint.message)
-          rep.Analysis.Lint.findings
-    | None -> ());
-    let r = Lazy.force r in
-    let text_size, data_size = module_sizes r.Blueprint.Mgraph.m in
-    (* record when the strongest preference could not be honoured; the
-       residency fault hook may block that preference first *)
-    let place_noting arena seg size prefs =
-      Residency.with_place_conflict t.residency ~arena ~prefs @@ fun () ->
-      let dec = Constraints.Placement.place arena ~size ~owner:name ~prefs () in
-      (match List.sort (fun (p1, _) (p2, _) -> compare p2 p1) prefs with
-      | (_, wanted) :: _ when dec.Constraints.Placement.satisfied <> Some wanted ->
-          Telemetry.Counter.incr tm_arena_conflicts;
-          t.conflicts <-
-            { c_owner = name; c_seg = seg; c_wanted = wanted;
-              c_got = dec.Constraints.Placement.base }
-            :: t.conflicts
-      | _ -> ());
-      dec
-    in
-    let tdec =
-      place_noting t.text_arena Blueprint.Mgraph.Seg_text (max text_size 1)
-        (prefs_for Blueprint.Mgraph.Seg_text r.Blueprint.Mgraph.constraints)
-    in
-    let ddec =
-      place_noting t.data_arena Blueprint.Mgraph.Seg_data (max data_size 1)
-        (prefs_for Blueprint.Mgraph.Seg_data r.Blueprint.Mgraph.constraints)
-    in
-    let t0 = Telemetry.now_us () in
-    (* the link and its simulated-cost charges share one span, so the
-       profiler attributes the whole link phase to "server.link" *)
-    let img, _lstats =
-      Telemetry.with_span "server.link" @@ fun () ->
-      let img, lstats =
-        Linker.Link.link ~externals ~allow_undefined:true
-          ~layout:
-            {
-              Linker.Link.text_base = tdec.Constraints.Placement.base;
-              data_base = ddec.Constraints.Placement.base;
-            }
-          (Jigsaw.Module_ops.fragments r.Blueprint.Mgraph.m)
-      in
-      charge_link t lstats;
-      (img, lstats)
-    in
-    Telemetry.Histogram.observe tm_link_us (Telemetry.now_us () -. t0);
-    let provenance =
-      Telemetry.Provenance.capture ~key:cache_key
-        ~text_base:tdec.Constraints.Placement.base
-        ~data_base:ddec.Constraints.Placement.base
-        ~placement:
-          (placement_summary [ ("text", Some tdec); ("data", Some ddec) ])
-        ~generation:(Cache.generation t.cache) ()
-    in
-    Telemetry.Provenance.note_built ~name provenance;
-    let e =
-      Cache.insert t.cache ~key:cache_key
-        ~text_base:tdec.Constraints.Placement.base
-        ~data_base:ddec.Constraints.Placement.base ~provenance
-        { img with Linker.Image.name }
-    in
-    Residency.note_placed t.residency e;
-    { entry = e; key = cache_key ^ "@" ^ Linker.Image.digest img }
-  in
-  let acceptable = Residency.acceptable t.residency ~owner:name in
-  match Cache.find t.cache cache_key ~acceptable with
-  | Some e -> (
-      (* re-establish the reservation of the revived placement *)
-      match Residency.reacquire t.residency ~owner:name e with
-      | Ok () -> { entry = e; key = cache_key ^ "@" ^ Linker.Image.digest e.Cache.image }
-      | Error _conflicting ->
-          (* the range was taken between the acceptability check and
-             the reservation (or a reserve fault fired): a placement
-             conflict — rebuild as an alternate placement and record
-             where the image wanted to be vs. where it went *)
-          let b = build_fresh () in
-          Telemetry.Counter.incr tm_arena_conflicts;
-          t.conflicts <-
-            {
-              c_owner = name;
-              c_seg = Blueprint.Mgraph.Seg_text;
-              c_wanted = Constraints.Placement.At e.Cache.text_base;
-              c_got = b.entry.Cache.text_base;
-            }
-            :: t.conflicts;
-          b)
-  | None ->
-      (* stale candidates whose reservations are gone drop to Evicted
-         so they can never shadow the fresh construction *)
-      List.iter
-        (fun e -> ignore (Residency.demote_if_lost t.residency e))
-        (Cache.candidates t.cache cache_key);
-      build_fresh ()
-
-(** Build (or fetch) the image of a {e library} meta-object: fully
-    bound, placed by the constraint system, cached, shared. Undefined
-    symbols are allowed (libraries may reference client symbols — the
-    paper's "furthest downstream" discussion) unless [externals]
-    satisfy them. *)
-let build_library_raw (t : t) ~(path : string)
-    ?(spec : (string * Blueprint.Mgraph.value list) option) ?(externals = []) () :
-    built =
-  let meta = find_meta t path in
-  let graph = Blueprint.Meta.effective_graph meta ~spec in
-  let cache_key =
-    "lib:" ^ path ^ ":" ^ Blueprint.Mgraph.digest graph
-    ^ String.concat "" (List.map (fun i -> ":" ^ Linker.Image.digest i) externals)
-  in
-  let r =
-    lazy
-      (t.work.instantiations <- t.work.instantiations + 1;
-       eval t graph)
-  in
-  link_in_arena t ~name:path ~cache_key ~externals r
-
-(** Build (or fetch) a fully static image of an arbitrary graph at the
-    client base addresses — generic instantiation (also the static
-    scheme and the interposition examples). *)
-let build_static_raw (t : t) ~(name : string) ?(entry_symbol : string option)
-    ?(externals = []) (graph : Blueprint.Mgraph.node) : built =
-  let cache_key =
-    "static:" ^ name ^ ":" ^ Blueprint.Mgraph.digest graph
-    ^ String.concat "" (List.map (fun i -> ":" ^ Linker.Image.digest i) externals)
-  in
-  match Cache.find t.cache cache_key ~acceptable:(fun _ -> true) with
-  | Some e -> { entry = e; key = cache_key ^ "@" ^ Linker.Image.digest e.Cache.image }
-  | None ->
-      Telemetry.Provenance.begin_build ();
-      t.work.instantiations <- t.work.instantiations + 1;
-      let r = eval t graph in
-      let t0 = Telemetry.now_us () in
-      let img, _lstats =
-        Telemetry.with_span "server.link" @@ fun () ->
-        let img, lstats =
-          Linker.Link.link ?entry:entry_symbol ~externals
-            ~layout:
-              { Linker.Link.text_base = client_text_base; data_base = client_data_base }
-            (Jigsaw.Module_ops.fragments r.Blueprint.Mgraph.m)
-        in
-        charge_link t lstats;
-        (img, lstats)
-      in
-      Telemetry.Histogram.observe tm_link_us (Telemetry.now_us () -. t0);
-      let provenance =
-        Telemetry.Provenance.capture ~key:cache_key ~text_base:client_text_base
-          ~data_base:client_data_base
-          ~placement:
-            (Printf.sprintf "static text@0x%08x data@0x%08x" client_text_base
-               client_data_base)
-          ~generation:(Cache.generation t.cache) ()
-      in
-      Telemetry.Provenance.note_built ~name provenance;
-      let e =
-        Cache.insert t.cache ~key:cache_key ~text_base:client_text_base
-          ~data_base:client_data_base ~provenance
-          { img with Linker.Image.name }
-      in
-      Residency.note_static t.residency e;
-      { entry = e; key = cache_key ^ "@" ^ Linker.Image.digest img }
 
 (* -- the unified request API ------------------------------------------------ *)
 
@@ -770,13 +587,15 @@ and run_stage (t : t) (job : job) (stage : string) (f : unit -> unit) : unit =
     (fun () -> try f () with e -> finish t job (Error e))
 
 and spawn_stage (t : t) (job : job) (stage : string) (f : unit -> unit) : unit =
-  Simos.Sched.spawn t.sched
-    ~label:(Printf.sprintf "r%d:%s" job.jt stage)
-    (fun () -> run_stage t job stage f)
+  if job.jsync then job.jnext <- Some (stage, f)
+  else
+    Simos.Sched.spawn t.sched
+      ~label:(Printf.sprintf "r%d:%s" job.jt stage)
+      (fun () -> run_stage t job stage f)
 
 (* map: the last stage — the built image is mappable; seal the
    response, observe the request-level metrics, and run the residency
-   self-check exactly as the synchronous path always did. *)
+   self-check after every request. *)
 and stage_map (t : t) (job : job) (b : built) () : unit =
   let done_us = Telemetry.now_us () in
   let sim_us = done_us -. job.jsubmit_us in
@@ -808,7 +627,10 @@ and stage_map (t : t) (job : job) (b : built) () : unit =
     (Ok { built = b; cache_hit = job.jhit; sim_us; queue_us; batch_us; coalesce_us })
 
 (* link: place decisions are in; perform the real link, capture the
-   binding journal, insert into the cache, establish residency. *)
+   binding journal, insert into the cache, establish residency. A
+   library links at its placed bases with undefined symbols allowed
+   (they may be satisfied by clients); a static image links at the
+   client bases. *)
 and stage_link (t : t) (job : job) () : unit =
   (match job.jframe with
   | Some f -> Telemetry.Provenance.resume_build f
@@ -816,78 +638,50 @@ and stage_link (t : t) (job : job) () : unit =
   job.jframe <- None;
   let r = Option.get job.jeval in
   let name = job.jname in
-  let b =
+  let text_base, data_base, placement, allow_undefined, entry =
     match job.jreq.target with
     | Library _ ->
         let tdec = Option.get job.jtdec and ddec = Option.get job.jddec in
-        let t0 = Telemetry.now_us () in
-        let img, _lstats =
-          Telemetry.with_span "server.link" @@ fun () ->
-          let img, lstats =
-            Linker.Link.link ~externals:job.jreq.externals
-              ~allow_undefined:true
-              ~layout:
-                {
-                  Linker.Link.text_base = tdec.Constraints.Placement.base;
-                  data_base = ddec.Constraints.Placement.base;
-                }
-              (Jigsaw.Module_ops.fragments r.Blueprint.Mgraph.m)
-          in
-          charge_link t lstats;
-          (img, lstats)
-        in
-        Telemetry.Histogram.observe tm_link_us (Telemetry.now_us () -. t0);
-        let provenance =
-          Telemetry.Provenance.capture ~key:job.jkey
-            ~text_base:tdec.Constraints.Placement.base
-            ~data_base:ddec.Constraints.Placement.base
-            ~placement:
-              (placement_summary [ ("text", Some tdec); ("data", Some ddec) ])
-            ~generation:(Cache.generation t.cache) ()
-        in
-        Telemetry.Provenance.note_built ~name provenance;
-        let e =
-          Cache.insert t.cache ~key:job.jkey
-            ~text_base:tdec.Constraints.Placement.base
-            ~data_base:ddec.Constraints.Placement.base ~provenance
-            { img with Linker.Image.name }
-        in
-        Residency.note_placed t.residency e;
-        { entry = e; key = job.jkey ^ "@" ^ Linker.Image.digest img }
+        ( tdec.Constraints.Placement.base,
+          ddec.Constraints.Placement.base,
+          placement_summary [ ("text", Some tdec); ("data", Some ddec) ],
+          true,
+          None )
     | Static { entry_symbol; _ } ->
-        let t0 = Telemetry.now_us () in
-        let img, _lstats =
-          Telemetry.with_span "server.link" @@ fun () ->
-          let img, lstats =
-            Linker.Link.link ?entry:entry_symbol ~externals:job.jreq.externals
-              ~layout:
-                {
-                  Linker.Link.text_base = client_text_base;
-                  data_base = client_data_base;
-                }
-              (Jigsaw.Module_ops.fragments r.Blueprint.Mgraph.m)
-          in
-          charge_link t lstats;
-          (img, lstats)
-        in
-        Telemetry.Histogram.observe tm_link_us (Telemetry.now_us () -. t0);
-        let provenance =
-          Telemetry.Provenance.capture ~key:job.jkey
-            ~text_base:client_text_base ~data_base:client_data_base
-            ~placement:
-              (Printf.sprintf "static text@0x%08x data@0x%08x" client_text_base
-                 client_data_base)
-            ~generation:(Cache.generation t.cache) ()
-        in
-        Telemetry.Provenance.note_built ~name provenance;
-        let e =
-          Cache.insert t.cache ~key:job.jkey ~text_base:client_text_base
-            ~data_base:client_data_base ~provenance
-            { img with Linker.Image.name }
-        in
-        Residency.note_static t.residency e;
-        { entry = e; key = job.jkey ^ "@" ^ Linker.Image.digest img }
+        ( client_text_base,
+          client_data_base,
+          Printf.sprintf "static text@0x%08x data@0x%08x" client_text_base
+            client_data_base,
+          false,
+          entry_symbol )
   in
+  let t0 = Telemetry.now_us () in
+  (* the link and its simulated-cost charges share one span, so the
+     profiler attributes the whole link phase to "server.link" *)
+  let img, _lstats =
+    Telemetry.with_span "server.link" @@ fun () ->
+    let img, lstats =
+      Linker.Link.link ?entry ~externals:job.jreq.externals ~allow_undefined
+        ~layout:{ Linker.Link.text_base; data_base }
+        (Jigsaw.Module_ops.fragments r.Blueprint.Mgraph.m)
+    in
+    charge_link t lstats;
+    (img, lstats)
+  in
+  Telemetry.Histogram.observe tm_link_us (Telemetry.now_us () -. t0);
+  let provenance =
+    Telemetry.Provenance.capture ~key:job.jkey ~text_base ~data_base ~placement
+      ~generation:(Cache.generation t.cache) ()
+  in
+  Telemetry.Provenance.note_built ~name provenance;
+  let e =
+    Cache.insert t.cache ~key:job.jkey ~text_base ~data_base ~provenance
+      { img with Linker.Image.name }
+  in
+  (match job.jreq.target with
+  | Library _ -> Residency.note_placed t.residency e
+  | Static _ -> Residency.note_static t.residency e);
+  let b = { entry = e; key = job.jkey ^ "@" ^ Linker.Image.digest img } in
   (* a failed reacquisition of a cached placement is a conflict:
      record where the image wanted to be vs. where it went *)
   (match job.jreacquire_conflict with
@@ -904,29 +698,21 @@ and stage_link (t : t) (job : job) () : unit =
   | None -> ());
   spawn_stage t job "map" (stage_map t job b)
 
-(* place (single): the unbatched path — one solver pass per request. *)
-and stage_place_single (t : t) (job : job) () : unit =
-  if t.charge_build_work then
-    Simos.Kernel.charge_sys t.kernel
-      t.kernel.Simos.Kernel.cost.Simos.Cost.place_solve;
+(* place (per job): one solver pass for this job alone — every job
+   under batch=off, and synchronous jobs always. *)
+and stage_place (t : t) (job : job) () : unit =
+  Simos.Kernel.charge_sys t.kernel
+    t.kernel.Simos.Kernel.cost.Simos.Cost.place_solve;
   Telemetry.Histogram.observe tm_batch_size 1.0;
   let r = Option.get job.jeval in
-  let place_noting arena seg size prefs =
-    Residency.with_place_conflict t.residency ~arena ~prefs @@ fun () ->
-    let dec =
-      Constraints.Placement.place arena ~size ~owner:job.jname ~prefs ()
-    in
-    note_pref_conflict t ~owner:job.jname seg prefs dec;
-    dec
+  let place seg arena size =
+    let prefs = prefs_for seg r.Blueprint.Mgraph.constraints in
+    Some
+      (place_seg t job seg arena prefs (fun () ->
+           Constraints.Placement.place arena ~size ~owner:job.jname ~prefs ()))
   in
-  job.jtdec <-
-    Some
-      (place_noting t.text_arena Blueprint.Mgraph.Seg_text job.jtext_size
-         (prefs_for Blueprint.Mgraph.Seg_text r.Blueprint.Mgraph.constraints));
-  job.jddec <-
-    Some
-      (place_noting t.data_arena Blueprint.Mgraph.Seg_data job.jdata_size
-         (prefs_for Blueprint.Mgraph.Seg_data r.Blueprint.Mgraph.constraints));
+  job.jtdec <- place Blueprint.Mgraph.Seg_text t.text_arena job.jtext_size;
+  job.jddec <- place Blueprint.Mgraph.Seg_data t.data_arena job.jdata_size;
   spawn_stage t job "link" (stage_link t job)
 
 (* eval: force the m-graph (misses only — hits never re-evaluate). *)
@@ -944,7 +730,7 @@ and stage_eval (t : t) (job : job) () : unit =
       let text_size, data_size = module_sizes r.Blueprint.Mgraph.m in
       job.jtext_size <- max text_size 1;
       job.jdata_size <- max data_size 1;
-      if t.batch_place then begin
+      if t.batch_place && not job.jsync then begin
         (* park at the place barrier; the drain loop flushes the whole
            queue as one constraint pass when nothing else can run. No
            time is charged between here and the end of the eval stage,
@@ -954,7 +740,7 @@ and stage_eval (t : t) (job : job) () : unit =
           ~at:job.jpark_us ();
         t.place_q <- job :: t.place_q
       end
-      else spawn_stage t job "place" (stage_place_single t job)
+      else spawn_stage t job "place" (stage_place t job)
 
 (* lint: open the binding-journal frame and replay the registration-time
    findings into it, so every build of the meta carries them. *)
@@ -979,35 +765,36 @@ and stage_lint (t : t) (job : job) () : unit =
 
 (* parse: resolve the target, fix the cache key, and serve cache hits
    without touching the build stages. A job whose key is already being
-   built parks as a waiter (request coalescing). *)
+   built parks as a waiter (request coalescing); a synchronous job
+   never parks, so it neither waits on nor claims a build. *)
 and stage_parse (t : t) (job : job) () : unit =
   let fresh () =
-    Hashtbl.replace t.building job.jkey job.jt;
+    if not job.jsync then Hashtbl.replace t.building job.jkey job.jt;
     spawn_stage t job "lint" (stage_lint t job)
   in
-  (match job.jreq.target with
-  | Library { path; spec } ->
-      let meta = find_meta t path in
-      let graph = Blueprint.Meta.effective_graph meta ~spec in
-      job.jname <- path;
-      job.jgraph <- Some graph;
-      job.jkey <-
-        "lib:" ^ path ^ ":" ^ Blueprint.Mgraph.digest graph
-        ^ String.concat ""
-            (List.map
-               (fun i -> ":" ^ Linker.Image.digest i)
-               job.jreq.externals)
-  | Static { name; graph; _ } ->
-      job.jname <- name;
-      job.jgraph <- Some graph;
-      job.jkey <-
-        "static:" ^ name ^ ":" ^ Blueprint.Mgraph.digest graph
-        ^ String.concat ""
-            (List.map
-               (fun i -> ":" ^ Linker.Image.digest i)
-               job.jreq.externals));
+  let hit (e : Cache.entry) =
+    job.jhit <- true;
+    spawn_stage t job "map"
+      (stage_map t job
+         {
+           entry = e;
+           key = job.jkey ^ "@" ^ Linker.Image.digest e.Cache.image;
+         })
+  in
+  let kind, name, graph =
+    match job.jreq.target with
+    | Library { path; spec } ->
+        ("lib:", path, Blueprint.Meta.effective_graph (find_meta t path) ~spec)
+    | Static { name; graph; _ } -> ("static:", name, graph)
+  in
+  job.jname <- name;
+  job.jgraph <- Some graph;
+  job.jkey <-
+    kind ^ name ^ ":" ^ Blueprint.Mgraph.digest graph
+    ^ String.concat ""
+        (List.map (fun i -> ":" ^ Linker.Image.digest i) job.jreq.externals);
   match Hashtbl.find_opt t.building job.jkey with
-  | Some leader ->
+  | Some leader when not job.jsync ->
       Telemetry.Counter.incr tm_coalesced;
       (* journal the fold on the leader's build so [ofe explain] can
          show this hit was served by another in-flight request *)
@@ -1023,18 +810,11 @@ and stage_parse (t : t) (job : job) () : unit =
       Telemetry.Causal.park ~id:job.jt Telemetry.Causal.Coalesce ~on:leader
         ~at:job.jpark_us ();
       t.waiters <- t.waiters @ [ (job.jkey, job) ]
-  | None -> (
+  | _ -> (
       match job.jreq.target with
       | Static _ -> (
         match Cache.find t.cache job.jkey ~acceptable:(fun _ -> true) with
-        | Some e ->
-            job.jhit <- true;
-            spawn_stage t job "map"
-              (stage_map t job
-                 {
-                   entry = e;
-                   key = job.jkey ^ "@" ^ Linker.Image.digest e.Cache.image;
-                 })
+        | Some e -> hit e
         | None -> fresh ())
     | Library _ -> (
         let acceptable = Residency.acceptable t.residency ~owner:job.jname in
@@ -1042,15 +822,7 @@ and stage_parse (t : t) (job : job) () : unit =
         | Some e -> (
             (* re-establish the reservation of the revived placement *)
             match Residency.reacquire t.residency ~owner:job.jname e with
-            | Ok () ->
-                job.jhit <- true;
-                spawn_stage t job "map"
-                  (stage_map t job
-                     {
-                       entry = e;
-                       key =
-                         job.jkey ^ "@" ^ Linker.Image.digest e.Cache.image;
-                     })
+            | Ok () -> hit e
             | Error _conflicting ->
                 (* the range was taken between the acceptability check
                    and the reservation (or a reserve fault fired):
@@ -1080,9 +852,8 @@ and flush_place (t : t) : unit =
       let n = List.length jobs in
       Telemetry.Histogram.observe tm_batch_size (float_of_int n);
       let t0 = Telemetry.now_us () in
-      if t.charge_build_work then
-        Simos.Kernel.charge_sys t.kernel
-          t.kernel.Simos.Kernel.cost.Simos.Cost.place_solve;
+      Simos.Kernel.charge_sys t.kernel
+        t.kernel.Simos.Kernel.cost.Simos.Cost.place_solve;
       let by_index = Array.of_list jobs in
       (* per-member simulated time spent inside its own wrapped solve
          (both arenas) — the member's self-share of the flush interval;
@@ -1116,13 +887,7 @@ and flush_place (t : t) : unit =
               wraps.(i) <- wraps.(i) +. (Telemetry.now_us () -. w0);
               Telemetry.Request.suspend ())
           @@ fun () ->
-          let d =
-            Residency.with_place_conflict t.residency ~arena
-              ~prefs:it.Constraints.Placement.bi_prefs f
-          in
-          note_pref_conflict t ~owner:j.jname seg
-            it.Constraints.Placement.bi_prefs d;
-          d
+          place_seg t j seg arena it.Constraints.Placement.bi_prefs f
         in
         Constraints.Placement.place_batch ~wrap arena items
       in
@@ -1148,31 +913,39 @@ and flush_place (t : t) : unit =
           spawn_stage t j "link" (stage_link t j))
         jobs
 
-(* Record when the strongest preference could not be honoured (shared
-   by the batched and unbatched place paths). *)
-and note_pref_conflict (t : t) ~(owner : string) (seg : Blueprint.Mgraph.seg)
+(* Place one segment of one job — the single placer behind the per-job
+   place stage and every individually solved member of a batched flush.
+   [solve] runs under the residency fault hook (which may block the
+   strongest preference first); when that preference is not honoured,
+   the miss is recorded as a conflict. *)
+and place_seg (t : t) (job : job) (seg : Blueprint.Mgraph.seg)
+    (arena : Constraints.Placement.t)
     (prefs : (int * Constraints.Placement.pref) list)
-    (dec : Constraints.Placement.decision) : unit =
-  match List.sort (fun (p1, _) (p2, _) -> compare p2 p1) prefs with
+    (solve : unit -> Constraints.Placement.decision) :
+    Constraints.Placement.decision =
+  let dec = Residency.with_place_conflict t.residency ~arena ~prefs solve in
+  (match List.sort (fun (p1, _) (p2, _) -> compare p2 p1) prefs with
   | (_, wanted) :: _ when dec.Constraints.Placement.satisfied <> Some wanted ->
       Telemetry.Counter.incr tm_arena_conflicts;
       t.conflicts <-
         {
-          c_owner = owner;
+          c_owner = job.jname;
           c_seg = seg;
           c_wanted = wanted;
           c_got = dec.Constraints.Placement.base;
         }
         :: t.conflicts
-  | _ -> ()
+  | _ -> ());
+  dec
 
 (* -- submit / await / poll / drain ------------------------------------------ *)
 
-(** Admit one request into the pipeline: assigns the ticket (= the
-    telemetry request id), runs admission control, and queues the parse
-    stage. Raises {!Overload} when the pipeline is full. *)
-let submit (t : t) (req : request) : ticket =
-  if t.inflight >= t.queue_limit then begin
+(* Admit one request into the pipeline: assign the ticket (= the
+   telemetry request id), run admission control, and queue the parse
+   stage. A synchronous job bypasses admission control: it is a stage
+   of a request that was already admitted. *)
+let admit (t : t) ~(sync : bool) (req : request) : job =
+  if (not sync) && t.inflight >= t.queue_limit then begin
     Telemetry.Counter.incr tm_overloads;
     (* overload is an anomaly like faults and invariant violations:
        leave a flight dump behind so the storm can be reconstructed *)
@@ -1213,6 +986,8 @@ let submit (t : t) (req : request) : ticket =
       jcoalesce_us = 0.0;
       jpending_coalesced = 0;
       joutcome = None;
+      jsync = sync;
+      jnext = None;
     }
   in
   Hashtbl.replace t.jobs id job;
@@ -1225,7 +1000,11 @@ let submit (t : t) (req : request) : ticket =
   ignore (Residency.maybe_evict_storm t.residency);
   Telemetry.Request.suspend ();
   spawn_stage t job "parse" (stage_parse t job);
-  id
+  job
+
+(** Admit one request into the pipeline and return its ticket. Raises
+    {!Overload} when the pipeline is full. *)
+let submit (t : t) (req : request) : ticket = (admit t ~sync:false req).jt
 
 (* One pump round: run scheduler tasks; when nothing is runnable,
    flush the place barrier and keep going. *)
@@ -1280,36 +1059,30 @@ let await (t : t) (tk : ticket) : response =
       in
       loop ()
 
-(* The synchronous path for nested instantiations: a specializer or an
-   upcall may instantiate a library while the scheduler is mid-drain
-   (its request is a stage of another request) — those run inline,
-   bypassing the queue, exactly like the pre-pipeline server. *)
-let instantiate_inline (t : t) (req : request) : response =
-  Telemetry.Request.with_request "instantiate" @@ fun () ->
-  let t0 = Telemetry.now_us () in
-  let links0 = t.work.links in
-  ignore (Residency.maybe_evict_storm t.residency);
-  let built =
-    match req.target with
-    | Library { path; spec } ->
-        build_library_raw t ~path ?spec ~externals:req.externals ()
-    | Static { name; graph; entry_symbol } ->
-        build_static_raw t ~name ?entry_symbol ~externals:req.externals graph
-  in
-  let cache_hit = t.work.links = links0 in
-  let sim_us = Telemetry.now_us () -. t0 in
-  Telemetry.Counter.incr tm_instantiations;
-  Telemetry.Histogram.observe tm_instantiate_us sim_us;
-  Residency.self_check t.residency;
-  Telemetry.Health.record ~hit:cache_hit ~cost_us:sim_us ();
-  { built; cache_hit; sim_us; queue_us = 0.0; batch_us = 0.0; coalesce_us = 0.0 }
+(* The synchronous driver: run a synchronous job's stages in order, each
+   by a direct call, until the job finishes. Its stages never park —
+   it places itself at once and neither waits on nor leads a coalesced
+   build — so the loop always ends with the outcome set. *)
+let rec run_sync (t : t) (job : job) : unit =
+  match job.jnext with
+  | Some (stage, f) ->
+      job.jnext <- None;
+      run_stage t job stage f;
+      run_sync t job
+  | None -> ()
 
 (** Serve one instantiation request synchronously: submit it, drive the
     pipeline until it completes. Opens the root ["omos.instantiate"]
-    span; evaluation, placement, linking and caching all nest under it
-    (a nested call from inside a running stage executes inline). *)
+    span; evaluation, placement, linking and caching all nest under it.
+    A nested call — made from inside a running stage, e.g. by a
+    specializer — runs the same stages through the synchronous driver:
+    parking on the outer drain it is part of would deadlock. *)
 let instantiate (t : t) (req : request) : response =
-  if Simos.Sched.running t.sched then instantiate_inline t req
+  if Simos.Sched.running t.sched then begin
+    let job = admit t ~sync:true req in
+    run_sync t job;
+    deliver t job.jt job
+  end
   else begin
     let span =
       Telemetry.Span.enter "omos.instantiate"

@@ -75,11 +75,6 @@ val data_arena : t -> Constraints.Placement.t
     (see {!Residency}); use it to run {!Residency.check_invariants}. *)
 val residency : t -> Residency.t
 
-(** Charge server-side build work (relocations, symbol lookups) to the
-    simulated clock? On by default; benches turn it off to isolate
-    steady state. *)
-val set_charge_build_work : t -> bool -> unit
-
 (** Enable/disable the automatic residency invariant check after every
     instantiate/evict (on by default). *)
 val set_self_check : t -> bool -> unit
@@ -252,8 +247,11 @@ val set_queue_limit : t -> int -> unit
 (** The current admission-control bound. *)
 val queue_limit : t -> int
 
-(** Solve queued placements as one batched constraint pass (default
-    [true]); [false] reverts to one solver pass per request. *)
+(** Placement policy. [true] (default): requests park at the place
+    barrier and each flush solves them as one batched constraint pass.
+    [false]: every request runs its own place stage, one solver pass
+    per request. Both policies place each job through the same
+    per-job placer. *)
 val set_batch_placement : t -> bool -> unit
 
 (** Seed for the cooperative scheduler's task interleaving. 0 (the
@@ -266,7 +264,15 @@ val set_sched_seed : t -> int -> unit
 (** Serve one instantiation request to completion —
     [submit] + [await] under the root ["omos.instantiate"] telemetry
     span; evaluation, placement, linking and caching all nest under
-    it. *)
+    it.
+
+    A nested call, made while a stage is running (a specializer
+    instantiating a library from inside an eval stage), cannot wait on
+    the drain it is part of. It runs the same stages through a
+    synchronous driver instead: each stage is called directly, the
+    request places itself at once rather than at the batch barrier,
+    and it bypasses admission control and coalescing. It opens no root
+    span; its work nests under the calling stage. *)
 val instantiate : t -> request -> response
 
 (** [build t req] = [(instantiate t req).built]. *)

@@ -1,5 +1,6 @@
 (* The staged async request pipeline: submit/await semantics, batched
-   placement, admission control, and scheduler determinism. *)
+   placement, admission control, nested requests, and scheduler
+   determinism. *)
 
 let fresh_world () =
   let w = Omos.World.create () in
@@ -184,6 +185,63 @@ let test_overload () =
   let r3 = Omos.Server.await s t3 in
   Alcotest.(check bool) "recovered" false r3.Omos.Server.cache_hit
 
+(* -- nested requests ------------------------------------------------------- *)
+
+(* A request made from inside a running stage: the "nested-libm"
+   specializer builds /lib/libm while its own eval stage runs, then
+   evaluates its operand. The nested request cannot park on the outer
+   drain, so the server must serve it synchronously. *)
+let nested_operands = [ "/lib/libl"; "/lib/libC"; "/lib/libal1"; "/lib/libal2" ]
+
+let test_nested_build batch () =
+  let reference =
+    Omos.Server.build (fresh_world ()) (Omos.Server.library "/lib/libm")
+  in
+  let s = fresh_world () in
+  Omos.Server.set_batch_placement s batch;
+  let nested = ref [] in
+  Omos.Server.register_specializer s "nested-libm" (fun env _args node ->
+      let b = Omos.Server.build s (Omos.Server.library "/lib/libm") in
+      nested := b :: !nested;
+      Blueprint.Mgraph.eval env node);
+  (* distinct operands: each outer graph is its own construction, and
+     the unmodeled style keeps every one of them out of the memo table *)
+  let paths =
+    List.mapi
+      (fun i lib ->
+        let path = Printf.sprintf "/test/nested%d" i in
+        Omos.Server.register_meta_source s path
+          (Printf.sprintf "(specialize \"nested-libm\" (merge %s.o))" lib);
+        path)
+      nested_operands
+  in
+  let tickets =
+    List.map (fun p -> Omos.Server.submit s (Omos.Server.library p)) paths
+  in
+  (* every outer request completes: await would raise otherwise *)
+  let outer = List.map (Omos.Server.await s) tickets in
+  Alcotest.(check int) "none in flight" 0 (Omos.Server.in_flight s);
+  List.iter
+    (fun (r : Omos.Server.response) ->
+      Alcotest.(check bool) "outer built" false r.Omos.Server.cache_hit)
+    outer;
+  Alcotest.(check int) "one nested build per outer eval" 4
+    (List.length !nested);
+  let ref_e = reference.Omos.Server.entry in
+  List.iter
+    (fun (b : Omos.Server.built) ->
+      let e = b.Omos.Server.entry in
+      Alcotest.(check string) "image digest"
+        (Linker.Image.digest ref_e.Omos.Cache.image)
+        (Linker.Image.digest e.Omos.Cache.image);
+      Alcotest.(check int) "text base" ref_e.Omos.Cache.text_base
+        e.Omos.Cache.text_base;
+      Alcotest.(check int) "data base" ref_e.Omos.Cache.data_base
+        e.Omos.Cache.data_base)
+    !nested;
+  Alcotest.(check int) "residency invariants hold" 0
+    (List.length (Omos.Residency.check_invariants (Omos.Server.residency s)))
+
 (* -- determinism ----------------------------------------------------------- *)
 
 let conc_spec concurrency =
@@ -253,6 +311,13 @@ let () =
         ] );
       ( "backpressure",
         [ Alcotest.test_case "overload + recovery" `Quick test_overload ] );
+      ( "nested",
+        [
+          Alcotest.test_case "build from a specializer, batch on" `Quick
+            (test_nested_build true);
+          Alcotest.test_case "build from a specializer, batch off" `Quick
+            (test_nested_build false);
+        ] );
       ( "determinism",
         [
           Alcotest.test_case "concurrency=8 reproducible" `Quick
