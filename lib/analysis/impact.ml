@@ -24,6 +24,7 @@ type summary = {
 
 type info = {
   i_path : string;
+  i_addr : string;
   i_node : Mg.node;
   i_summary : summary;
   i_digest : string;
@@ -33,6 +34,23 @@ type info = {
 }
 
 type tree = { t_root : info; t_approximate : bool }
+
+(* Walked subtrees by (i_path, content address). Only subtrees that are
+   modeled and draw no mangling id are entered: their result does not
+   depend on the gensym base, so one entry serves both replays, and the
+   path fixes the Name route (hence the cycle-detection set). *)
+type memo = {
+  address : Mg.node -> string;
+  binding : string -> string;
+  entries :
+    (string * string, Symflow.t * Mg.constraint_pref list * info) Hashtbl.t;
+  mutable last : info option; (* root of the last tree analyzed here *)
+}
+
+let create_memo ~address ~binding : memo =
+  { address; binding; entries = Hashtbl.create 64; last = None }
+
+let tm_nodes_walked = Telemetry.Counter.make "impact.nodes_walked"
 
 (* -- canonical rendering ---------------------------------------------------- *)
 
@@ -142,12 +160,49 @@ let node_digest ~(op : string) ~(content : string)
           :: String.concat "," children
           :: [ summary_key s ])))
 
+(* A merge concatenates its operands' fragments, so its summary is the
+   union of theirs, computed from the operands' sorted lists in linear
+   time rather than from the whole flow: exports keep multiplicity, and
+   a name is undefined iff some operand leaves it undefined and no
+   operand exports it. *)
+let merge_summary ~(gensym : int) (children : info list) : summary =
+  let merged f =
+    List.fold_left (fun acc c -> List.merge compare acc (f c.i_summary)) [] children
+  in
+  let rec uniq = function
+    | x :: (y :: _ as rest) -> if x = y then uniq rest else x :: uniq rest
+    | l -> l
+  in
+  let exports = merged (fun s -> s.s_exports) in
+  (* sorted difference: undefined names minus exported names *)
+  let rec unexported us es =
+    match (us, es) with
+    | [], _ -> []
+    | us, [] -> us
+    | u :: us', (e, _) :: es' ->
+        let c = compare u e in
+        if c < 0 then u :: unexported us' es
+        else if c = 0 then unexported us' es
+        else unexported us es'
+  in
+  {
+    s_op = "merge";
+    s_exports = exports;
+    s_undefined = unexported (uniq (merged (fun s -> s.s_undefined))) exports;
+    s_relocs = uniq (merged (fun s -> s.s_relocs));
+    s_frozen = uniq (merged (fun s -> s.s_frozen));
+    s_hidden = uniq (merged (fun s -> s.s_hidden));
+    s_prefs = List.concat_map (fun c -> c.i_summary.s_prefs) children;
+    s_gensym = gensym;
+  }
+
 (* -- the walker ------------------------------------------------------------- *)
 
 type state = {
   resolve : string -> (Mg.node, string) result;
   gensym : int ref;
   mutable visiting : string list;
+  memo : memo option;
 }
 
 let draw (st : state) () : int =
@@ -190,23 +245,43 @@ let unmodeled_specializers = [ "lib-dynamic"; "monitor" ]
 (* Walk one node. Returns the symbol flow and prefs (the operator
    semantics, identical to lint's) plus the annotated info whose
    [i_stable] is provisionally [i_modeled] — the dual-base zip below
-   replaces it with the replay-invariance verdict. *)
+   replaces it with the replay-invariance verdict. A memo hit returns
+   the earlier walk's result as is. *)
 let rec walk (st : state) (path : string) (n : Mg.node) :
     Symflow.t * Mg.constraint_pref list * info =
+  let addr = match st.memo with Some mm -> mm.address n | None -> "" in
+  walk_at st path addr n
+
+and walk_at (st : state) (path : string) (addr : string) (n : Mg.node) :
+    Symflow.t * Mg.constraint_pref list * info =
+  match
+    match st.memo with
+    | Some mm -> Hashtbl.find_opt mm.entries (path, addr)
+    | None -> None
+  with
+  | Some hit -> hit
+  | None -> walk_fresh st path addr n
+
+and walk_fresh (st : state) (path : string) (addr : string) (n : Mg.node) :
+    Symflow.t * Mg.constraint_pref list * info =
+  Telemetry.Counter.incr tm_nodes_walked;
   let g0 = !(st.gensym) in
   let m, prefs, children, ok = step st path n in
   let consumed = !(st.gensym) - g0 in
   let summary =
-    {
-      s_op = Mg.op_name n;
-      s_exports = export_pairs m;
-      s_undefined = Symflow.undefined m;
-      s_relocs = reloc_names m;
-      s_frozen = S.elements m.Symflow.frozen;
-      s_hidden = S.elements m.Symflow.hidden;
-      s_prefs = List.map pref_str prefs;
-      s_gensym = consumed;
-    }
+    match (n, children) with
+    | Mg.Merge _, _ :: _ -> merge_summary ~gensym:consumed children
+    | _ ->
+        {
+          s_op = Mg.op_name n;
+          s_exports = export_pairs m;
+          s_undefined = Symflow.undefined m;
+          s_relocs = reloc_names m;
+          s_frozen = S.elements m.Symflow.frozen;
+          s_hidden = S.elements m.Symflow.hidden;
+          s_prefs = List.map pref_str prefs;
+          s_gensym = consumed;
+        }
   in
   let modeled =
     ok && List.for_all (fun c -> c.i_modeled) children
@@ -216,17 +291,25 @@ let rec walk (st : state) (path : string) (n : Mg.node) :
       ~children:(List.map (fun c -> c.i_digest) children)
       summary
   in
-  ( m,
-    prefs,
-    {
-      i_path = path;
-      i_node = n;
-      i_summary = summary;
-      i_digest = digest;
-      i_modeled = modeled;
-      i_stable = modeled;
-      i_children = children;
-    } )
+  let r =
+    ( m,
+      prefs,
+      {
+        i_path = path;
+        i_addr = addr;
+        i_node = n;
+        i_summary = summary;
+        i_digest = digest;
+        i_modeled = modeled;
+        i_stable = modeled;
+        i_children = children;
+      } )
+  in
+  (match st.memo with
+  | Some mm when modeled && consumed = 0 ->
+      Hashtbl.replace mm.entries (path, addr) r
+  | _ -> ());
+  r
 
 and step (st : state) (path : string) (n : Mg.node) :
     Symflow.t * Mg.constraint_pref list * info list * bool =
@@ -239,7 +322,10 @@ and step (st : state) (path : string) (n : Mg.node) :
         | Error _ -> (Symflow.empty, [], [], false)
         | Ok sub ->
             st.visiting <- p :: st.visiting;
-            let m, prefs, i = walk st path sub in
+            let addr =
+              match st.memo with Some mm -> mm.binding p | None -> ""
+            in
+            let m, prefs, i = walk_at st path addr sub in
             st.visiting <- List.tl st.visiting;
             (m, prefs, [ i ], true)
       end
@@ -388,6 +474,7 @@ and step (st : state) (path : string) (n : Mg.node) :
 let fallback_info (root : Mg.node) : info =
   {
     i_path = Mg.op_name root;
+    i_addr = "";
     i_node = root;
     i_summary =
       {
@@ -406,11 +493,12 @@ let fallback_info (root : Mg.node) : info =
     i_children = [];
   }
 
-let run_once ~resolve ~(gensym_base : int) (root : Mg.node) : info =
-  let st = { resolve; gensym = ref gensym_base; visiting = [] } in
+let run_once ?memo ~resolve ~(gensym_base : int) (root : Mg.node) :
+    info option =
+  let st = { resolve; gensym = ref gensym_base; visiting = []; memo } in
   match walk st (Mg.op_name root) root with
-  | _, _, i -> i
-  | exception _ -> fallback_info root
+  | _, _, i -> Some i
+  | exception _ -> None
 
 let rec force_unstable (i : info) : info =
   {
@@ -421,13 +509,17 @@ let rec force_unstable (i : info) : info =
 
 (* Zip the two replays: a node is stable iff it is fully modeled and
    its digest did not move when the whole analysis started from a
-   different mangling base. *)
+   different mangling base. Both replays answer a memoized subtree with
+   the same info, which is already final (modeled, no id drawn, so
+   stable), and zipping stops there. *)
 let rec zip (a : info) (b : info) : info =
-  {
-    a with
-    i_stable = a.i_modeled && String.equal a.i_digest b.i_digest;
-    i_children = List.map2 zip a.i_children b.i_children;
-  }
+  if a == b then a
+  else
+    {
+      a with
+      i_stable = a.i_modeled && String.equal a.i_digest b.i_digest;
+      i_children = List.map2 zip a.i_children b.i_children;
+    }
 
 let iter_infos (f : info -> unit) (t : tree) : unit =
   let rec go i =
@@ -436,17 +528,74 @@ let iter_infos (f : info -> unit) (t : tree) : unit =
   in
   go t.t_root
 
-let analyze ~(resolve : string -> (Mg.node, string) result) (root : Mg.node) :
-    tree =
-  let r0 = run_once ~resolve ~gensym_base:0 root in
-  let r1 = run_once ~resolve ~gensym_base:1_000_003 root in
-  let zipped =
-    try zip r0 r1 with Invalid_argument _ -> force_unstable r0
+(* Visit what differs between two trees, skipping subtrees they share
+   physically; children pair up by position. *)
+let changes ~(removed : info -> unit) ~(added : info -> unit)
+    (old_root : info option) (new_root : info option) : unit =
+  let rec all f i =
+    f i;
+    List.iter (all f) i.i_children
   in
-  let approx = ref false in
-  let t = { t_root = zipped; t_approximate = false } in
-  iter_infos (fun i -> if not i.i_modeled then approx := true) t;
-  { t with t_approximate = !approx }
+  let rec go o n =
+    if o != n then begin
+      removed o;
+      added n;
+      pair o.i_children n.i_children
+    end
+  and pair os ns =
+    match (os, ns) with
+    | o :: os', n :: ns' ->
+        go o n;
+        pair os' ns'
+    | os, [] -> List.iter (all removed) os
+    | [], ns -> List.iter (all added) ns
+  in
+  match (old_root, new_root) with
+  | Some o, Some n -> go o n
+  | Some o, None -> all removed o
+  | None, Some n -> all added n
+  | None, None -> ()
+
+let analyze ?(memo : memo option) ~(resolve : string -> (Mg.node, string) result)
+    (root : Mg.node) : tree =
+  let failed = ref false in
+  let replay base =
+    match run_once ?memo ~resolve ~gensym_base:base root with
+    | Some i -> i
+    | None ->
+        failed := true;
+        fallback_info root
+  in
+  let r0 = replay 0 in
+  let r1 = replay 1_000_003 in
+  let t_root =
+    try zip r0 r1
+    with Invalid_argument _ ->
+      failed := true;
+      force_unstable r0
+  in
+  Option.iter
+    (fun mm ->
+      if !failed then begin
+        (* what a failed replay memoized is not part of the result *)
+        Hashtbl.reset mm.entries;
+        mm.last <- None
+      end
+      else begin
+        (* bound the memo to the tree just analyzed: drop what the
+           previous tree held and this one does not *)
+        changes
+          ~removed:(fun i ->
+            match Hashtbl.find_opt mm.entries (i.i_path, i.i_addr) with
+            | Some (_, _, i') when i' == i ->
+                Hashtbl.remove mm.entries (i.i_path, i.i_addr)
+            | _ -> ())
+          ~added:ignore mm.last (Some t_root);
+        mm.last <- Some t_root
+      end)
+    memo;
+  (* [i_modeled] holds for a node iff it holds for its whole subtree *)
+  { t_root; t_approximate = not t_root.i_modeled }
 
 (* -- diff -------------------------------------------------------------------- *)
 
@@ -492,7 +641,10 @@ let summary_reason (so : summary) (sn : summary) : string option =
   if not (String.equal so.s_op sn.s_op) then
     Some (Printf.sprintf "operator changed: %s -> %s" so.s_op sn.s_op)
   else
-    match first_list_diff ~what:"export" (exports so) (exports sn) with
+    match
+      if so.s_exports = sn.s_exports then None
+      else first_list_diff ~what:"export" (exports so) (exports sn)
+    with
     | Some r -> Some r
     | None -> (
         match

@@ -52,6 +52,10 @@ type summary = {
 (** Annotated analysis of one node. *)
 type info = {
   i_path : string;  (** m-graph path, {!Lint}'s addressing vocabulary *)
+  i_addr : string;
+      (** content address of the node under the {!memo}'s addressing
+          (the server's cache and plan key); [""] when analyzed
+          without a memo *)
   i_node : Mg.node;
   i_summary : summary;
   i_digest : string;
@@ -75,10 +79,44 @@ type tree = {
           their ancestors) are marked unstable *)
 }
 
+(** A subtree memo, so that re-analyzing an edited graph walks only
+    what the edit changed. Entries are keyed by (i_path, content
+    address) and hold the walker's result for a subtree that is fully
+    modeled and draws no mangling id: such a result does not depend on
+    the gensym base, so one entry serves both replays, and the path
+    fixes the [Name] route, hence the cycle-detection set. The memo is
+    bounded to the tree last analyzed through it. [address] gives a
+    node's content address, [binding] the address of the graph a [Name]
+    path resolves to; the caller keeps both consistent with [resolve]. *)
+type memo
+
+val create_memo :
+  address:(Mg.node -> string) -> binding:(string -> string) -> memo
+
 (** Analyze a graph. Never raises; unmodelable nodes are marked
-    unstable rather than failing. *)
+    unstable rather than failing. With [memo], the result is equal to
+    the memo-less analysis in every field but [i_addr], and subtrees
+    the memo answers are shared physically with the previous tree.
+    Every node walked (memo hits excluded) counts in the
+    [impact.nodes_walked] counter. *)
 val analyze :
-  resolve:(string -> (Mg.node, string) result) -> Mg.node -> tree
+  ?memo:memo ->
+  resolve:(string -> (Mg.node, string) result) ->
+  Mg.node ->
+  tree
+
+(** [changes ~removed ~added old_root new_root] visits the nodes of the
+    old tree that the new one does not share ([removed]) and the nodes
+    of the new tree the old one does not share ([added]), skipping
+    physically shared subtrees and pairing children by position: work
+    in proportion to an edit when the new tree was analyzed through a
+    memo that held the old one. *)
+val changes :
+  removed:(info -> unit) ->
+  added:(info -> unit) ->
+  info option ->
+  info option ->
+  unit
 
 (** Pre-order walk over an info tree. *)
 val iter_infos : (info -> unit) -> tree -> unit

@@ -50,6 +50,17 @@ let create ?(region_lo = 0x1000) ?(region_hi = 0x7FFF_F000) ?(align = 0x1000) ()
 let intervals (t : t) : (int * int * string) list =
   List.map (fun i -> (i.lo, i.hi, i.owner)) t.occupied
 
+(** [owns t ~owner ~lo ~hi] — does an interval of [owner] start exactly
+    at [lo] and reach at least [hi]? Scans the sorted intervals up to
+    [lo] without materializing them. *)
+let owns (t : t) ~owner ~lo ~hi : bool =
+  let rec go = function
+    | [] -> false
+    | i :: rest ->
+        i.lo <= lo && ((i.lo = lo && i.hi >= hi && i.owner = owner) || go rest)
+  in
+  go t.occupied
+
 (** Base alignment of every placement in this arena (callers that
     [reserve] ranges a [place] may later have to coexist with should
     align their sizes the same way). *)

@@ -28,6 +28,10 @@ val create : ?region_lo:int -> ?region_hi:int -> ?align:int -> unit -> t
 (** Occupied intervals, as (lo, hi, owner). *)
 val intervals : t -> (int * int * string) list
 
+(** [owns t ~owner ~lo ~hi]: does an interval of [owner] start exactly
+    at [lo] and reach at least [hi]? Allocates nothing. *)
+val owns : t -> owner:string -> lo:int -> hi:int -> bool
+
 (** Base alignment of every placement in this arena. *)
 val align : t -> int
 

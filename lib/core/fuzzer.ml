@@ -212,13 +212,59 @@ let build_sig (b : Server.built) : string =
     (Digest.to_hex (Digest.bytes (Linker.Image.encode e.Cache.image)))
     (String.concat "; " link_events)
 
+(* One node of an impact tree as the oracle compares it: path, digest,
+   stability, modeledness and summary, in pre-order. *)
+let impact_rows (t : Analysis.Impact.tree) : string list =
+  let out = ref [] in
+  Analysis.Impact.iter_infos
+    (fun i ->
+      let s = i.Analysis.Impact.i_summary in
+      out :=
+        String.concat " "
+          [
+            i.Analysis.Impact.i_path;
+            i.Analysis.Impact.i_digest;
+            (if i.Analysis.Impact.i_stable then "stable" else "unstable");
+            (if i.Analysis.Impact.i_modeled then "modeled" else "approx");
+            s.Analysis.Impact.s_op;
+            String.concat ","
+              (List.map (fun (n, b) -> n ^ "=" ^ b) s.Analysis.Impact.s_exports);
+            String.concat "," s.Analysis.Impact.s_undefined;
+            String.concat "," s.Analysis.Impact.s_relocs;
+            String.concat "," s.Analysis.Impact.s_frozen;
+            String.concat "," s.Analysis.Impact.s_hidden;
+            String.concat "," s.Analysis.Impact.s_prefs;
+            string_of_int s.Analysis.Impact.s_gensym;
+          ]
+        :: !out)
+    t;
+  List.rev !out
+
+let registration_matches_scratch (s : Server.t) (path : string) :
+    (unit, string) result =
+  match Server.impact_tree s path with
+  | None -> Error (path ^ ": no registration-time impact tree")
+  | Some reg ->
+      let scratch =
+        Analysis.Impact.analyze ~resolve:(Server.resolve_graph s)
+          (Blueprint.Meta.effective_graph (Server.find_meta s path) ~spec:None)
+      in
+      let a = impact_rows reg and b = impact_rows scratch in
+      if a = b then Ok ()
+      else
+        Error
+          (Printf.sprintf "%s: registration-time impact tree vs fresh analysis: %s"
+             path (first_diff a b))
+
 (* One full history: install the case, build every library, install the
    edited blueprints over the same bindings, rebuild every library.
    [gensym0] aligns the global mangling counter so both runs mint
-   comparable freeze/hide aliases. *)
+   comparable freeze/hide aliases. The registration-time impact tree of
+   every re-registered library must equal a fresh analysis. *)
 let incremental_run (c : Fuzz.case) (c' : Fuzz.case) ~(reuse : bool)
     ~(gensym0 : int) :
-    string list * (int * int * string) list * (int * int * string) list =
+    (string list * (int * int * string) list * (int * int * string) list, string)
+    result =
   Jigsaw.Module_ops.gensym_set gensym0;
   let w = World.create () in
   let s = w.World.server in
@@ -233,10 +279,21 @@ let incremental_run (c : Fuzz.case) (c' : Fuzz.case) ~(reuse : bool)
   List.iter
     (fun l -> Server.register_meta_source s (Fuzz.lib_path l) (Fuzz.meta_source l))
     c'.Fuzz.f_libs;
+  let trees =
+    List.fold_left
+      (fun acc l ->
+        match acc with
+        | Error _ -> acc
+        | Ok () -> registration_matches_scratch s (Fuzz.lib_path l))
+      (Ok ()) c'.Fuzz.f_libs
+  in
   let post = List.map (fun l -> build (Fuzz.lib_path l)) c'.Fuzz.f_libs in
-  ( pre @ post,
-    Constraints.Placement.intervals (Server.text_arena s),
-    Constraints.Placement.intervals (Server.data_arena s) )
+  Result.map
+    (fun () ->
+      ( pre @ post,
+        Constraints.Placement.intervals (Server.text_arena s),
+        Constraints.Placement.intervals (Server.data_arena s) ))
+    trees
 
 let incremental_equivalence (c : Fuzz.case) : (int, string) result =
   match Fuzz.mutate ~seed:c.Fuzz.f_seed c with
@@ -248,8 +305,13 @@ let incremental_equivalence (c : Fuzz.case) : (int, string) result =
       Fun.protect
         ~finally:(fun () -> Telemetry.Provenance.set_enabled prov0)
         (fun () ->
-          let a, ta, da = incremental_run c c' ~reuse:true ~gensym0 in
-          let b, tb, db = incremental_run c c' ~reuse:false ~gensym0 in
+          let ( let* ) r f =
+            match r with
+            | Ok v -> f v
+            | Error e -> Error (Printf.sprintf "edit %S: %s" edit e)
+          in
+          let* a, ta, da = incremental_run c c' ~reuse:true ~gensym0 in
+          let* b, tb, db = incremental_run c c' ~reuse:false ~gensym0 in
           let show_intervals ivs =
             String.concat ", "
               (List.map

@@ -30,7 +30,11 @@
       rebuild) and once with reuse off. The link-level facts — image
       digests, segment bases, Bind/Reloc provenance events, and the
       final arena interval maps — must be identical: memoized subtree
-      reuse may never change what gets linked.
+      reuse may never change what gets linked. After the edited metas
+      are registered, each one's registration-time impact tree (which
+      the server analyzed incrementally, through its subtree memo) must
+      equal a fresh {!Analysis.Impact.analyze} of the same graph
+      ({!registration_matches_scratch}).
 
     Any other exception escaping a case is classified as the ["crash"]
     oracle. All of it is deterministic: same case, same verdict. *)
@@ -55,6 +59,13 @@ type verdict =
     cases. @raise Minic.Driver.Compile_error on a module that does not
     compile (a generator bug, surfaced as a ["crash"]). *)
 val install : Workloads.Fuzz.case -> World.t -> unit
+
+(** [registration_matches_scratch s path]: the registration-time
+    {!Server.impact_tree} of the meta-object at [path] equals a fresh
+    {!Analysis.Impact.analyze} of its graph — node paths, digests,
+    stability, modeledness and summaries, in pre-order. [Error] names
+    the first differing node. *)
+val registration_matches_scratch : Server.t -> string -> (unit, string) result
 
 (** Run every oracle against one case. Never raises. *)
 val run_case : Workloads.Fuzz.case -> verdict

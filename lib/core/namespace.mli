@@ -12,6 +12,40 @@ type entry =
 type t
 
 val create : unit -> t
+
+(** {1 Content addresses}
+
+    Every path has a content address, a digest of what is bound there,
+    and every m-graph node has one too, so that two constructions with
+    the same address are the same construction. A fragment's address is
+    its {!Sof.Codec.digest}. A meta-object's address is a Merkle digest
+    over its effective graph ([spec = None]): each node digests its
+    operator, its parameters and its operands' addresses, and the
+    address of a [Name p] node spells out [p] and the address of [p]'s
+    binding. An unbound path (or a directory) has a placeholder address
+    derived from the path; a [Name] cycle gets one too.
+
+    Addresses are memoized per path and computed lazily, a fragment's
+    once per bind. A binding's memoized address is dropped only when a
+    binding it reaches changes: the namespace keeps a reverse-dependency
+    index from every path a meta-object names (bound or not) to the
+    meta-objects naming it. *)
+
+(** Content address of the binding at [path] (bound or not). *)
+val address : t -> string -> string
+
+(** Content address of a node. Nodes of a bound meta-object's graph
+    answer from a table filled when that meta's address is computed;
+    any other node (a wrapper {!Blueprint.Meta.effective_graph} makes,
+    a static client's graph) is digested from its operands' addresses,
+    so no fragment is re-encoded once its binding's address is known. *)
+val node_address : t -> Blueprint.Mgraph.node -> string
+
+(** [dependents t path] is the canonical spelling of [path] followed by
+    every meta-object that reaches it through [Name] nodes,
+    transitively, in sorted order: the bindings whose content an edit
+    at [path] can change. *)
+val dependents : t -> string -> string list
 val lookup : t -> string -> entry option
 val exists : t -> string -> bool
 

@@ -102,10 +102,7 @@ let owner_of (e : Cache.entry) : string = e.Cache.image.Linker.Image.name
 
 (* Is there an interval under [owner] starting exactly at [lo] and
    covering [lo, lo+size)? *)
-let owned_at arena ~owner ~lo ~size =
-  List.exists
-    (fun (ilo, ihi, o) -> o = owner && ilo = lo && ihi >= lo + size)
-    (P.intervals arena)
+let owned_at arena ~owner ~lo ~size = P.owns arena ~owner ~lo ~hi:(lo + size)
 
 let range_available arena ~owner ~lo ~size =
   owned_at arena ~owner ~lo ~size || P.free arena ~lo ~hi:(lo + size)
@@ -133,6 +130,7 @@ let note_transition (t : t) (e : Cache.entry) (state : string) : unit =
   | None -> ()
 
 let register (t : t) (owner : string) : unit = Hashtbl.replace t.managed owner ()
+let managed (t : t) (owner : string) : bool = Hashtbl.mem t.managed owner
 
 let align_up v a = (v + a - 1) / a * a
 
@@ -211,7 +209,26 @@ type violation = { v_code : string; v_msg : string }
 let violation_message (v : violation) : string =
   Printf.sprintf "[%s] %s" v.v_code v.v_msg
 
-let ranges_overlap (lo1, sz1) (lo2, sz2) = lo1 < lo2 + sz2 && lo2 < lo1 + sz1
+(* Pairs (i, j), i < j, of overlapping extents: sorted by base, an
+   extent can only overlap those whose base lies below its end, so
+   each scan stops at the first that does not (every extent is at
+   least one byte long). O(n log n) plus one step per overlap. *)
+let overlapping (ext : (int * int) array) : (int * int) list =
+  let n = Array.length ext in
+  let order = Array.init n Fun.id in
+  Array.stable_sort (fun i j -> compare (fst ext.(i)) (fst ext.(j))) order;
+  let pairs = ref [] in
+  for a = 0 to n - 1 do
+    let i = order.(a) in
+    let lo, sz = ext.(i) in
+    let b = ref (a + 1) in
+    while !b < n && fst ext.(order.(!b)) < lo + sz do
+      let j = order.(!b) in
+      pairs := (min i j, max i j) :: !pairs;
+      incr b
+    done
+  done;
+  !pairs
 
 let check_invariants (t : t) : violation list =
   Telemetry.Counter.incr tm_checks;
@@ -219,57 +236,62 @@ let check_invariants (t : t) : violation list =
   let add code fmt =
     Format.kasprintf (fun m -> out := { v_code = code; v_msg = m } :: !out) fmt
   in
-  let live = Cache.to_list t.cache in
   let placed =
-    List.filter (fun (e : Cache.entry) -> e.Cache.residency = Cache.Placed) live
+    Array.of_list
+      (List.filter
+         (fun (e : Cache.entry) -> e.Cache.residency = Cache.Placed)
+         (Cache.to_list t.cache))
   in
+  let text = Array.map text_extent placed and data = Array.map data_extent placed in
+  (* each arena's intervals, materialized once and indexed by base *)
+  let by_base arena =
+    let ivs = P.intervals arena in
+    let at = Hashtbl.create 64 in
+    List.iter (fun (lo, hi, o) -> Hashtbl.add at lo (hi, o)) ivs;
+    (ivs, at)
+  in
+  let text_ivs, text_at = by_base t.text_arena
+  and data_ivs, data_at = by_base t.data_arena in
   (* 1: every placed entry's full extents reserved under its owner *)
-  List.iter
-    (fun (e : Cache.entry) ->
+  Array.iteri
+    (fun k (e : Cache.entry) ->
       let owner = owner_of e in
-      let chk arena what (lo, sz) =
-        if not (owned_at arena ~owner ~lo ~size:sz) then
+      let chk at what (lo, sz) =
+        if
+          not
+            (List.exists
+               (fun (hi, o) -> o = owner && hi >= lo + sz)
+               (Hashtbl.find_all at lo))
+        then
           add "unreserved"
             "placed entry %s: %s extent [0x%x,0x%x) not reserved under its owner"
             owner what lo (lo + sz)
       in
-      chk t.text_arena "text" (text_extent e);
-      chk t.data_arena "data" (data_extent e))
+      chk text_at "text" text.(k);
+      chk data_at "data" data.(k))
     placed;
   (* 2: no two live placed entries overlap *)
-  let rec pairwise = function
-    | [] -> ()
-    | (e : Cache.entry) :: rest ->
-        List.iter
-          (fun (e' : Cache.entry) ->
-            if
-              ranges_overlap (text_extent e) (text_extent e')
-              || ranges_overlap (data_extent e) (data_extent e')
-            then
-              add "overlap" "placed entries %s@0x%x and %s@0x%x overlap"
-                (owner_of e) e.Cache.text_base (owner_of e') e'.Cache.text_base)
-          rest;
-        pairwise rest
-  in
-  pairwise placed;
+  List.iter
+    (fun (i, j) ->
+      let e = placed.(i) and e' = placed.(j) in
+      add "overlap" "placed entries %s@0x%x and %s@0x%x overlap" (owner_of e)
+        e.Cache.text_base (owner_of e') e'.Cache.text_base)
+    (List.sort_uniq compare (overlapping text @ overlapping data));
   (* 3: no managed arena interval orphaned by an evicted entry *)
-  let orphans arena what base_of =
+  let orphans ivs ext what =
+    let live = Hashtbl.create 64 in
+    Array.iteri
+      (fun k e -> Hashtbl.replace live (owner_of e, fst ext.(k)) ())
+      placed;
     List.iter
       (fun (ilo, ihi, o) ->
-        if
-          Hashtbl.mem t.managed o
-          && not
-               (List.exists
-                  (fun (e : Cache.entry) ->
-                    owner_of e = o && fst (base_of e) = ilo)
-                  placed)
-        then
+        if Hashtbl.mem t.managed o && not (Hashtbl.mem live (o, ilo)) then
           add "orphan" "%s interval [0x%x,0x%x) of %s has no live placed entry"
             what ilo ihi o)
-      (P.intervals arena)
+      ivs
   in
-  orphans t.text_arena "text" text_extent;
-  orphans t.data_arena "data" data_extent;
+  orphans text_ivs text "text";
+  orphans data_ivs data "data";
   let vs = List.rev !out in
   if vs <> [] then begin
     Telemetry.Counter.incr tm_violations ~by:(List.length vs);

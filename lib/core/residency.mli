@@ -106,8 +106,14 @@ val violation_message : violation -> string
     {- no arena interval belonging to a residency-managed owner is
        orphaned — left behind with no live [Placed] entry.}}
     Intervals of unmanaged owners (e.g. [Dynload]'s per-process ranges)
-    are ignored. *)
+    are ignored. It runs after every request, so it costs O(n log n) in
+    the placed entries and arena intervals, plus one step per overlap
+    it reports. *)
 val check_invariants : t -> violation list
+
+(** Is [owner] residency-managed (has it ever been placed through this
+    layer)? Only managed owners' intervals can be orphans. *)
+val managed : t -> string -> bool
 
 (** @raise Violation if {!check_invariants} reports anything. *)
 val check_exn : t -> unit

@@ -42,13 +42,15 @@ type conflict = {
 }
 
 (* One node of the current reuse plan: the {!Analysis.Impact} verdict
-   for a graph node, keyed (in [t.impact_plan]) by the node's own
-   path-addressed digest so evaluation can find it in O(1) without
-   re-walking the subtree. *)
+   for a graph node, keyed (in [t.impact_plan]) by the node's content
+   address ({!Namespace.node_address}) so evaluation finds it in O(1).
+   The plan holds the nodes of the live impact trees, counted, so an
+   entry leaves with the last tree carrying its address. *)
 type plan_entry = {
   pe_digest : string; (* interface digest (memo key) *)
   pe_stable : bool; (* provably replay-invariant; only these memoize *)
   pe_gensym : int; (* mangling ids the subtree consumes *)
+  mutable pe_refs : int; (* live-tree nodes with this address *)
 }
 
 (* One request moving through the staged pipeline (parse → lint → eval
@@ -127,10 +129,12 @@ type t = {
       (* registration-time findings per meta-object path *)
   impact_trees : (string, Analysis.Impact.tree) Hashtbl.t;
       (* registration-time dependence analysis per meta-object path *)
+  impact_memos : (string, Analysis.Impact.memo) Hashtbl.t;
+      (* per meta-object path: the subtree memo its re-analysis reads *)
   impact_diffs : (string, Analysis.Impact.diff) Hashtbl.t;
       (* verdicts of the latest re-registration of each meta path *)
   impact_plan : (string, plan_entry) Hashtbl.t;
-      (* graph-node digest -> reuse verdict, rebuilt on registration *)
+      (* node content address -> reuse verdict, over the live trees *)
   mutable subtree_reuse : bool; (* consult the memo table during eval? *)
   mutable conflicts : conflict list;
   (* -- the staged request pipeline -- *)
@@ -249,6 +253,7 @@ let create ~(kernel : Simos.Kernel.t) ?(faults : Residency.faults option) () : t
     work = { links = 0; relocs = 0; source_compiles = 0; instantiations = 0 };
     lints = Hashtbl.create 16;
     impact_trees = Hashtbl.create 16;
+    impact_memos = Hashtbl.create 16;
     impact_diffs = Hashtbl.create 16;
     impact_plan = Hashtbl.create 64;
     subtree_reuse = true;
@@ -293,45 +298,82 @@ let residency (t : t) : Residency.t = t.residency
 let set_self_check (t : t) (b : bool) : unit =
   Residency.set_self_check t.residency b
 
-let add_fragment (t : t) (path : string) (o : Sof.Object_file.t) : unit =
-  Namespace.bind_fragment t.ns path o
-
 let resolve_graph (t : t) (path : string) :
     (Blueprint.Mgraph.node, string) result =
   lookup_graph t.ns path
 
-(* Re-run the subtree dependence analysis over every bound meta-object
-   and rebuild the reuse plan from the resulting trees. Re-analyzing
-   the whole namespace (not just the edited meta) keeps plan entries
-   fresh for metas that reference the edited path through [Name] nodes:
-   their interface digests move with the content they resolve to. The
-   analysis is abstract (symbol flow only, no view materialized), so
-   this is cheap relative to a single link. *)
-let refresh_impact (t : t) : unit =
-  Hashtbl.reset t.impact_plan;
+(* Count one live-tree node in (or out of) the reuse plan. Leaves are
+   free to re-make and never enter it. *)
+let plan_count (t : t) ~(by : int) (i : Analysis.Impact.info) : unit =
+  match i.Analysis.Impact.i_node with
+  | Blueprint.Mgraph.Leaf _ -> ()
+  | _ -> (
+      let a = i.Analysis.Impact.i_addr in
+      match Hashtbl.find_opt t.impact_plan a with
+      | Some pe ->
+          pe.pe_refs <- pe.pe_refs + by;
+          if pe.pe_refs <= 0 then Hashtbl.remove t.impact_plan a
+      | None ->
+          if by > 0 then
+            Hashtbl.replace t.impact_plan a
+              {
+                pe_digest = i.Analysis.Impact.i_digest;
+                pe_stable = i.Analysis.Impact.i_stable;
+                pe_gensym = i.Analysis.Impact.i_summary.Analysis.Impact.s_gensym;
+                pe_refs = by;
+              })
+
+(* Re-run the subtree dependence analysis for the binding at [path]
+   and every meta-object that reaches it ({!Namespace.dependents}), the
+   only bindings whose content a change at [path] can move. Each meta
+   re-analyzes through its own memo, so only the respun spine is
+   walked, and the plan trades the old tree's nodes for the new one's
+   in proportion to what changed. A path that is no longer a
+   meta-object drops its tree. *)
+let refresh_impact (t : t) (path : string) : unit =
   List.iter
-    (fun path ->
-      match Namespace.lookup t.ns path with
-      | Some (Namespace.Meta m) ->
-          let tree =
-            Analysis.Impact.analyze ~resolve:(resolve_graph t)
-              (Blueprint.Meta.effective_graph m ~spec:None)
-          in
-          Hashtbl.replace t.impact_trees path tree;
-          Analysis.Impact.iter_infos
-            (fun i ->
-              match i.Analysis.Impact.i_node with
-              | Blueprint.Mgraph.Leaf _ -> () (* leaves are free to re-make *)
-              | n ->
-                  Hashtbl.replace t.impact_plan (Blueprint.Mgraph.digest n)
-                    {
-                      pe_digest = i.Analysis.Impact.i_digest;
-                      pe_stable = i.Analysis.Impact.i_stable;
-                      pe_gensym = i.Analysis.Impact.i_summary.Analysis.Impact.s_gensym;
-                    })
-            tree
-      | _ -> ())
-    (Namespace.all_metas t.ns)
+    (fun p ->
+      let old = Hashtbl.find_opt t.impact_trees p in
+      let fresh =
+        match Namespace.lookup t.ns p with
+        | Some (Namespace.Meta m) ->
+            let memo =
+              match Hashtbl.find_opt t.impact_memos p with
+              | Some mm -> mm
+              | None ->
+                  let mm =
+                    Analysis.Impact.create_memo
+                      ~address:(Namespace.node_address t.ns)
+                      ~binding:(Namespace.address t.ns)
+                  in
+                  Hashtbl.replace t.impact_memos p mm;
+                  mm
+            in
+            (* addressing the binding first records the addresses of
+               every node of its graph, which the walk then reads *)
+            ignore (Namespace.address t.ns p);
+            let tree =
+              Analysis.Impact.analyze ~memo ~resolve:(resolve_graph t)
+                (Blueprint.Meta.effective_graph m ~spec:None)
+            in
+            Hashtbl.replace t.impact_trees p tree;
+            Some tree
+        | _ ->
+            Hashtbl.remove t.impact_trees p;
+            Hashtbl.remove t.impact_memos p;
+            None
+      in
+      let root tr = tr.Analysis.Impact.t_root in
+      Analysis.Impact.changes ~removed:(plan_count t ~by:(-1))
+        ~added:(plan_count t ~by:1) (Option.map root old)
+        (Option.map root fresh))
+    (Namespace.dependents t.ns path)
+
+(** Bind a fragment. The impact trees of the meta-objects that reach
+    [path] are refreshed: their content moved with it. *)
+let add_fragment (t : t) (path : string) (o : Sof.Object_file.t) : unit =
+  Namespace.bind_fragment t.ns path o;
+  refresh_impact t path
 
 (** Bind a meta-object and lint it: the symbol-flow analyzer runs at
     registration (no view materialized, no simulated cost charged), the
@@ -341,11 +383,11 @@ let refresh_impact (t : t) : unit =
     is diagnosed again, fatally, when instantiated.
 
     Registration also refreshes the incremental-relinking plan: the
-    {!Analysis.Impact} tree of every bound meta is recomputed, and if
-    [path] was already bound the old/new trees are diffed — the next
-    build of an edited blueprint then re-materializes only the respun
-    spine, answering provably-equivalent subtrees from the memo
-    table. *)
+    {!Analysis.Impact} trees of [path] and of every meta that reaches
+    it are recomputed, and if [path] was already bound the old/new
+    trees are diffed — the next build of an edited blueprint then
+    re-materializes only the respun spine, answering
+    provably-equivalent subtrees from the memo table. *)
 let register_meta (t : t) (path : string) (m : Blueprint.Meta.t) : unit =
   let old_tree = Hashtbl.find_opt t.impact_trees path in
   Namespace.bind_meta t.ns path m;
@@ -355,7 +397,7 @@ let register_meta (t : t) (path : string) (m : Blueprint.Meta.t) : unit =
   and warns = Analysis.Lint.warnings report in
   if errs > 0 then Telemetry.Counter.incr ~by:errs tm_lint_errors;
   if warns > 0 then Telemetry.Counter.incr ~by:warns tm_lint_warnings;
-  refresh_impact t;
+  refresh_impact t path;
   match (old_tree, Hashtbl.find_opt t.impact_trees path) with
   | Some ot, Some nt ->
       Hashtbl.replace t.impact_diffs path
@@ -422,7 +464,7 @@ let memo_hooks (t : t) : Blueprint.Mgraph.memo_hooks =
   let plan_of n =
     match n with
     | Blueprint.Mgraph.Leaf _ -> None (* leaves are free to re-make *)
-    | n -> Hashtbl.find_opt t.impact_plan (Blueprint.Mgraph.digest n)
+    | n -> Hashtbl.find_opt t.impact_plan (Namespace.node_address t.ns n)
   in
   {
     lookup =
@@ -790,7 +832,7 @@ and stage_parse (t : t) (job : job) () : unit =
   job.jname <- name;
   job.jgraph <- Some graph;
   job.jkey <-
-    kind ^ name ^ ":" ^ Blueprint.Mgraph.digest graph
+    kind ^ name ^ ":" ^ Namespace.node_address t.ns graph
     ^ String.concat ""
         (List.map (fun i -> ":" ^ Linker.Image.digest i) job.jreq.externals);
   match Hashtbl.find_opt t.building job.jkey with

@@ -81,7 +81,9 @@ val set_self_check : t -> bool -> unit
 
 (** {1 Namespace population} *)
 
-(** Bind objects into the server's namespace. *)
+(** Bind a fragment into the server's namespace. The impact trees of
+    the meta-objects that reach [path] ({!Namespace.dependents}) are
+    re-analyzed: a rebind moves their content. *)
 val add_fragment : t -> string -> Sof.Object_file.t -> unit
 
 (** [register_meta t path m] binds a meta-object and lints it: the
@@ -91,15 +93,18 @@ val add_fragment : t -> string -> Sof.Object_file.t -> unit
     replay into the provenance journal of every build of the meta.
     Registration never fails on findings. This is the one canonical
     registration entry point; {!register_meta_source} and
-    {!load_meta_file} both route through it. *)
+    {!load_meta_file} both route through it. Registration re-analyzes
+    [path] and the meta-objects that reach it, each through a subtree
+    memo, so the work is in proportion to what the edit changed. *)
 val register_meta : t -> string -> Blueprint.Meta.t -> unit
 
 (** The registration-time lint report of a bound meta-object. *)
 val lint_report : t -> string -> Analysis.Lint.report option
 
 (** The registration-time {!Analysis.Impact} dependence analysis of a
-    bound meta-object (refreshed for every bound meta whenever any meta
-    is registered, so [Name]-mediated dependencies stay current). *)
+    bound meta-object (refreshed whenever a binding it reaches through
+    [Name] nodes changes, so [Name]-mediated dependencies stay
+    current). *)
 val impact_tree : t -> string -> Analysis.Impact.tree option
 
 (** The reuse/respin verdicts computed the last time the path was

@@ -507,6 +507,130 @@ let test_gensym_replay_after_partial_reuse () =
     (Sof.Codec.digest (Jigsaw.Module_ops.to_object m_scratch))
     (Sof.Codec.digest (Jigsaw.Module_ops.to_object m_incr))
 
+(* -- registration work ------------------------------------------------------- *)
+
+let walked () = Telemetry.Counter.get "impact.nodes_walked"
+
+(* The E_relink library shape: a chain of modules, each calling the
+   next, bound as a fanout-4 merge tree. *)
+let relink_source n i c =
+  if i = n - 1 then Printf.sprintf "int relink_fn_%d(int x) { return x + %d; }\n" i c
+  else
+    Printf.sprintf "int relink_fn_%d(int x) { return relink_fn_%d(x) + %d; }\n" i
+      (i + 1) c
+
+let rec merge_tree = function
+  | [ one ] -> one
+  | leaves ->
+      let rec chunk acc cur k = function
+        | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
+        | x :: rest ->
+            if k = 4 then chunk (List.rev cur :: acc) [ x ] 1 rest
+            else chunk acc (x :: cur) (k + 1) rest
+      in
+      merge_tree
+        (List.map (fun g -> "(merge " ^ String.concat " " g ^ ")") (chunk [] [] 0 leaves))
+
+let relink_world n =
+  let s = (Omos.World.create ()).Omos.World.server in
+  let leaves = Array.init n (Printf.sprintf "/relink/m%d.o") in
+  Array.iteri
+    (fun i p ->
+      Omos.Server.add_fragment s p (Minic.Driver.compile ~name:p (relink_source n i i)))
+    leaves;
+  let register () =
+    Omos.Server.register_meta_source s "/relink/lib" (merge_tree (Array.to_list leaves))
+  in
+  register ();
+  (s, leaves, register)
+
+(* Re-registering the 1000-module library with one leaf swapped walks
+   the respun spine and the operands along it, not the whole tree. *)
+let test_edit_walks_spine () =
+  let n = 1000 in
+  let s, leaves, register = relink_world n in
+  let total =
+    match Omos.Server.impact_tree s "/relink/lib" with
+    | Some t ->
+        let k = ref 0 in
+        I.iter_infos (fun _ -> incr k) t;
+        !k
+    | None -> Alcotest.fail "no impact tree"
+  in
+  let depth =
+    let rec go w d = if w <= 1 then d else go ((w + 3) / 4) (d + 1) in
+    go n 0
+  in
+  Omos.Server.add_fragment s "/relink/m5v2.o"
+    (Minic.Driver.compile ~name:"/relink/m5v2.o" (relink_source n 5 100005));
+  leaves.(5) <- "/relink/m5v2.o";
+  let w0 = walked () in
+  register ();
+  let nodes = walked () - w0 in
+  let spine =
+    match Omos.Server.impact_diff s "/relink/lib" with
+    | Some d -> d.I.d_respun
+    | None -> Alcotest.fail "no impact diff"
+  in
+  Alcotest.(check int) "whole tree" 2334 total;
+  Alcotest.(check bool)
+    (Printf.sprintf "walked %d <= 2 x (spine %d + 4 x depth %d)" nodes spine depth)
+    true
+    (nodes > 0 && nodes <= 2 * (spine + (4 * depth)))
+
+(* Registering a one-line meta walks the same nodes whether or not the
+   World's metas are bound: registration re-analyzes only the bindings
+   an edit can reach. *)
+let test_one_line_meta_walk_independent () =
+  let register s =
+    Omos.Server.add_fragment s "/t/one.o"
+      (Minic.Driver.compile ~name:"/t/one.o" "int one() { return 1; }\n");
+    let w0 = walked () in
+    Omos.Server.register_meta_source s "/t/lib" "(merge /t/one.o)";
+    walked () - w0
+  in
+  let bare = Omos.Server.create ~kernel:(Simos.Kernel.create ()) () in
+  let world = (Omos.World.create ()).Omos.World.server in
+  Alcotest.(check bool) "world has bound metas" true
+    (List.length (Omos.Namespace.all_metas (Omos.Server.namespace world)) >= 7);
+  let a = register bare and b = register world in
+  Alcotest.(check bool) "some nodes walked" true (a > 0);
+  Alcotest.(check int) "same walk with 0 or all World metas" a b
+
+(* 50 seeded edits of a relink library, some rebinding a fragment path
+   the library already names (with or without re-registering the same
+   text): after each, the server's incrementally refreshed impact tree
+   equals a fresh analysis. *)
+let test_seeded_edits_match_scratch () =
+  let n = 64 in
+  let s, leaves, register = relink_world n in
+  let rng = Random.State.make [| 13 |] in
+  let check k =
+    match Omos.Fuzzer.registration_matches_scratch s "/relink/lib" with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "edit %d: %s" k e
+  in
+  for k = 1 to 50 do
+    let i = Random.State.int rng n and c = Random.State.int rng 100_000 in
+    (match Random.State.int rng 3 with
+    | 0 ->
+        (* a fresh path, re-registered *)
+        let p = Printf.sprintf "/relink/m%d.e%d.o" i k in
+        Omos.Server.add_fragment s p (Minic.Driver.compile ~name:p (relink_source n i c));
+        leaves.(i) <- p;
+        register ()
+    | 1 ->
+        (* the path in use, rebound; identical text re-registered *)
+        Omos.Server.add_fragment s leaves.(i)
+          (Minic.Driver.compile ~name:leaves.(i) (relink_source n i c));
+        register ()
+    | _ ->
+        (* the path in use, rebound; no re-registration *)
+        Omos.Server.add_fragment s leaves.(i)
+          (Minic.Driver.compile ~name:leaves.(i) (relink_source n i c)));
+    check k
+  done
+
 (* every Reused verdict over a fuzzed single-edit pair materializes
    byte-identically — the proof obligation discharged over the same
    edit distribution the incremental-relink oracle replays *)
@@ -587,6 +711,12 @@ let () =
         [
           Alcotest.test_case "counters + provenance" `Quick
             test_registration_counters_and_provenance;
+          Alcotest.test_case "one-leaf edit walks the spine" `Quick
+            test_edit_walks_spine;
+          Alcotest.test_case "one-line meta walk independent of namespace" `Quick
+            test_one_line_meta_walk_independent;
+          Alcotest.test_case "seeded edits match a fresh analysis" `Quick
+            test_seeded_edits_match_scratch;
         ] );
       ( "impact",
         [

@@ -242,6 +242,40 @@ let test_nested_build batch () =
   Alcotest.(check int) "residency invariants hold" 0
     (List.length (Omos.Residency.check_invariants (Omos.Server.residency s)))
 
+(* -- rebinding a fragment ------------------------------------------------------ *)
+
+(* Rebinding a fragment changes what a blueprint naming it builds, even
+   when the blueprint's text does not change: the image cache and the
+   reuse plan key a construction by content address, so the next build
+   links the new code, whether or not the blueprint is re-registered,
+   and so does a build of a meta that reaches the fragment through
+   another meta. *)
+let test_rebind_rebuilds () =
+  let s = fresh_world () in
+  let bind name =
+    Omos.Server.add_fragment s "/t/a.o"
+      (Minic.Driver.compile ~name:"/t/a.o" (Printf.sprintf "int %s() { return 7; }\n" name))
+  in
+  let links path name =
+    let b = Omos.Server.build s (Omos.Server.library path) in
+    Linker.Image.find_symbol b.Omos.Server.entry.Omos.Cache.image name <> None
+  in
+  bind "t_one";
+  Omos.Server.register_meta_source s "/t/lib" "(merge /t/a.o)";
+  Omos.Server.register_meta_source s "/t/outer" "(merge /t/lib)";
+  Alcotest.(check bool) "first build links t_one" true (links "/t/lib" "t_one");
+  Alcotest.(check bool) "outer links t_one" true (links "/t/outer" "t_one");
+  bind "t_two";
+  Omos.Server.register_meta_source s "/t/lib" "(merge /t/a.o)";
+  Alcotest.(check bool) "same text re-registered: links t_two" true
+    (links "/t/lib" "t_two");
+  Alcotest.(check bool) "... and not t_one" false (links "/t/lib" "t_one");
+  bind "t_three";
+  Alcotest.(check bool) "rebind alone: links t_three" true
+    (links "/t/lib" "t_three");
+  Alcotest.(check bool) "outer follows the rebind" true
+    (links "/t/outer" "t_three")
+
 (* -- determinism ----------------------------------------------------------- *)
 
 let conc_spec concurrency =
@@ -318,6 +352,8 @@ let () =
           Alcotest.test_case "build from a specializer, batch off" `Quick
             (test_nested_build false);
         ] );
+      ( "rebind",
+        [ Alcotest.test_case "rebind rebuilds" `Quick test_rebind_rebuilds ] );
       ( "determinism",
         [
           Alcotest.test_case "concurrency=8 reproducible" `Quick

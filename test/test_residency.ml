@@ -339,6 +339,168 @@ let test_detects_overlap () =
        false
      with Omos.Residency.Violation _ -> true)
 
+(* -- the checker against its quadratic reference ---------------------------- *)
+
+(* The checker as first written: pairwise overlap test, an interval
+   list materialized per ownership query, a linear scan per orphan. *)
+let reference_check (t : Omos.Residency.t) (cache : Omos.Cache.t) ~text_arena
+    ~data_arena : string list =
+  let module R = Omos.Residency in
+  let out = ref [] in
+  let add code fmt =
+    Format.kasprintf (fun m -> out := Printf.sprintf "[%s] %s" code m :: !out) fmt
+  in
+  let owned_at arena ~owner ~lo ~size =
+    List.exists
+      (fun (ilo, ihi, o) -> o = owner && ilo = lo && ihi >= lo + size)
+      (Placement.intervals arena)
+  in
+  let overlap (lo1, sz1) (lo2, sz2) = lo1 < lo2 + sz2 && lo2 < lo1 + sz1 in
+  let placed =
+    List.filter
+      (fun (e : Omos.Cache.entry) -> e.Omos.Cache.residency = Omos.Cache.Placed)
+      (Omos.Cache.to_list cache)
+  in
+  List.iter
+    (fun e ->
+      let owner = R.owner_of e in
+      let chk arena what (lo, sz) =
+        if not (owned_at arena ~owner ~lo ~size:sz) then
+          add "unreserved"
+            "placed entry %s: %s extent [0x%x,0x%x) not reserved under its owner"
+            owner what lo (lo + sz)
+      in
+      chk text_arena "text" (R.text_extent e);
+      chk data_arena "data" (R.data_extent e))
+    placed;
+  let rec pairwise = function
+    | [] -> ()
+    | (e : Omos.Cache.entry) :: rest ->
+        List.iter
+          (fun (e' : Omos.Cache.entry) ->
+            if
+              overlap (R.text_extent e) (R.text_extent e')
+              || overlap (R.data_extent e) (R.data_extent e')
+            then
+              add "overlap" "placed entries %s@0x%x and %s@0x%x overlap"
+                (R.owner_of e) e.Omos.Cache.text_base (R.owner_of e')
+                e'.Omos.Cache.text_base)
+          rest;
+        pairwise rest
+  in
+  pairwise placed;
+  let orphans arena what base_of =
+    List.iter
+      (fun (ilo, ihi, o) ->
+        if
+          R.managed t o
+          && not
+               (List.exists
+                  (fun e -> R.owner_of e = o && fst (base_of e) = ilo)
+                  placed)
+        then
+          add "orphan" "%s interval [0x%x,0x%x) of %s has no live placed entry"
+            what ilo ihi o)
+      (Placement.intervals arena)
+  in
+  orphans text_arena "text" R.text_extent;
+  orphans data_arena "data" R.data_extent;
+  List.rev !out
+
+(* an image of [pages] text pages less 8 bytes (an instruction is 8
+   bytes) and [dwords] data words, named after its owner *)
+let sized_image owner pages dwords =
+  let a = Sof.Asm.create owner in
+  Sof.Asm.label a "e";
+  for _ = 1 to (pages * 0x1000 / 8) - 1 do
+    Sof.Asm.instr a Svm.Isa.Halt
+  done;
+  Sof.Asm.data_label a "d";
+  for k = 1 to dwords do
+    Sof.Asm.data_word a (Int32.of_int k)
+  done;
+  let img, _ =
+    Linker.Link.link ~layout:{ Linker.Link.text_base = 0x1000; data_base = 0x10000 }
+      [ Sof.Asm.finish a ]
+  in
+  { img with Linker.Image.name = owner }
+
+(* One generated entry: owner, text pages, data words, text and data
+   base, residency (0-1 placed, 2 evicted, 3 static), and how much of
+   its extents it reserves (0 all, 1 short, 2 nothing). Text bases sit
+   on a page grid pulled down by 0, 7, 8 or 9 bytes, and a text extent
+   is a whole number of pages less 8 bytes, so neighbours are apart,
+   adjacent or one byte into each other; data extents are multiples of
+   256 bytes on a 256-byte grid pulled down by up to 3 words. Stray
+   reservations, under managed and unmanaged owners, make orphans. *)
+let gen_scenario =
+  QCheck.Gen.(
+    let base =
+      map2
+        (fun slot pull -> 0x100000 + (slot * 0x1000) - List.nth [ 0; 7; 8; 9 ] pull)
+        (int_range 1 12) (int_bound 3)
+    and dbase =
+      map2 (fun slot pull -> 0x400000 + (slot * 0x100) - (4 * pull)) (int_range 1 24)
+        (int_bound 3)
+    in
+    pair
+      (list_size (int_range 0 14)
+         (tup7 (int_bound 4) (int_range 1 3)
+            (map (fun k -> 64 * k) (int_bound 4))
+            base dbase (int_bound 3) (int_bound 2)))
+      (list_size (int_range 0 4) (tup3 (int_bound 5) (int_bound 12) bool)))
+
+let prop_checker_matches_reference =
+  QCheck.Test.make ~count:300
+    ~name:"check_invariants = quadratic reference (overlap/unreserved/orphan)"
+    (QCheck.make gen_scenario)
+    (fun (entries, strays) ->
+      let cache = Omos.Cache.create () in
+      let text_arena =
+        Placement.create ~region_lo:0x100000 ~region_hi:0x200000 ()
+      and data_arena = Placement.create ~region_lo:0x400000 ~region_hi:0x500000 () in
+      let t =
+        Omos.Residency.create ~cache ~text_arena ~data_arena
+          ~clock:(fun () -> 0.0) ()
+      in
+      List.iteri
+        (fun i (o, pages, dwords, text_base, data_base, state, reserve) ->
+          let owner = Printf.sprintf "/lib/o%d" o in
+          let e =
+            Omos.Cache.insert cache ~key:(Printf.sprintf "k%d" i) ~text_base
+              ~data_base (sized_image owner pages dwords)
+          in
+          (match state with
+          | 0 | 1 -> Omos.Residency.note_placed t e
+          | 2 ->
+              Omos.Residency.note_placed t e;
+              e.Omos.Cache.residency <- Omos.Cache.Evicted
+          | _ -> Omos.Residency.note_static t e);
+          let take arena (lo, sz) =
+            let sz = if reserve = 1 then max 1 (sz - 1) else sz in
+            if reserve < 2 then ignore (Placement.reserve arena ~lo ~size:sz owner)
+          in
+          take text_arena (Omos.Residency.text_extent e);
+          take data_arena (Omos.Residency.data_extent e))
+        entries;
+      List.iter
+        (fun (o, slot, text) ->
+          let owner = Printf.sprintf "/lib/o%d" o in
+          if text then
+            ignore
+              (Placement.reserve text_arena ~lo:(0x100000 + (slot * 0x1000))
+                 ~size:0x800 owner)
+          else
+            ignore
+              (Placement.reserve data_arena ~lo:(0x400000 + (slot * 0x200))
+                 ~size:0x100 owner))
+        strays;
+      let got =
+        List.map Omos.Residency.violation_message (Omos.Residency.check_invariants t)
+      in
+      let want = reference_check t cache ~text_arena ~data_arena in
+      got = want)
+
 (* -- the self-check runs on the request and eviction paths --------------- *)
 
 let test_self_check_coverage () =
@@ -414,5 +576,6 @@ let () =
           Alcotest.test_case "orphaned interval" `Quick
             test_detects_orphaned_interval;
           Alcotest.test_case "overlapping entries" `Quick test_detects_overlap;
+          QCheck_alcotest.to_alcotest prop_checker_matches_reference;
         ] );
     ]
