@@ -8,8 +8,11 @@
     each page charges a soft fault (resident backing) or a disk read
     (first-ever load of a segment that is still "on disk").
 
-    Instruction fetch goes through a per-region decode cache so
-    simulated execution stays fast. *)
+    The CPU reads instructions straight from the region bytes through
+    a per-page code window (see {!Svm.Cpu.mem}) that this module owns:
+    it is filled on a fetch outside it, after the same lookup, charge
+    and checks a per-instruction fetch makes, and emptied whenever the
+    mappings change. *)
 
 exception Fault of string
 
@@ -30,7 +33,6 @@ type region = {
   touched : bool array; (* per-page demand accounting *)
   backing : backing_state; (* residency of the segment's source *)
   frames : Phys.frame_group;
-  decode : Svm.Isa.instr option array; (* instruction cache *)
   (* extra user-time charge on first touch of each page: models
      deferred (page-wise lazy) relocation work a traditional dynamic
      loader performs in the client, per process *)
@@ -48,20 +50,42 @@ type t = {
   clock : Clock.t;
   cost : Cost.t;
   stats : stats;
-  page_size : int;
+  mutable hint : region; (* last region a data access hit *)
+  mem : Svm.Cpu.mem; (* the CPU's view, code window included *)
 }
 
-let create ~(phys : Phys.t) ~(clock : Clock.t) ~(cost : Cost.t) () : t =
+let page_shift = 12
+let () = assert (1 lsl page_shift = Cost.page_size)
+
+(* Matches no address: the hint's value when there is none. *)
+let no_region =
   {
-    regions = [];
-    phys;
-    clock;
-    cost;
-    stats = { soft_faults = 0; disk_faults = 0 };
-    page_size = Cost.page_size;
+    lo = 0;
+    hi = 0;
+    bytes = Bytes.empty;
+    writable = false;
+    shared = false;
+    label = "";
+    touched = [||];
+    backing = { resident = [||] };
+    frames = { Phys.id = -1; label = ""; pages = 0; refs = 0 };
+    touch_user_cost = 0.0;
   }
 
 let regions (t : t) = t.regions
+
+(* Empty the code window and the data hint whenever the mappings
+   change: either may point into a region that is gone, and upcalls
+   remap in the middle of a syscall. *)
+let forget (t : t) : unit =
+  t.hint <- no_region;
+  let m = t.mem in
+  m.code <- Bytes.empty;
+  m.code_base <- 0;
+  m.code_lo <- 0;
+  m.code_hi <- 0
+
+let npages bytes = max 1 ((bytes + Cost.page_size - 1) / Cost.page_size)
 
 (* Always-resident backing for anonymous regions. *)
 let resident_backing () : backing_state = { resident = [||] }
@@ -69,7 +93,7 @@ let resident_backing () : backing_state = { resident = [||] }
 (** Backing that must be demand-loaded from disk, for a segment of
     [bytes] bytes. *)
 let disk_backing ~(bytes : int) : backing_state =
-  { resident = Array.make (max 1 ((bytes + Cost.page_size - 1) / Cost.page_size)) false }
+  { resident = Array.make (npages bytes) false }
 
 let check_overlap (t : t) lo hi label =
   List.iter
@@ -97,7 +121,7 @@ let map_shared (t : t) ~(vaddr : int) ~(bytes : Bytes.t)
   let hi = vaddr + Bytes.length bytes in
   check_overlap t vaddr hi label;
   Phys.addref frames;
-  let npages = max 1 ((Bytes.length bytes + t.page_size - 1) / t.page_size) in
+  forget t;
   insert t
     {
       lo = vaddr;
@@ -106,10 +130,9 @@ let map_shared (t : t) ~(vaddr : int) ~(bytes : Bytes.t)
       writable = false;
       shared = true;
       label;
-      touched = Array.make npages false;
+      touched = Array.make (npages (Bytes.length bytes)) false;
       backing;
       frames;
-      decode = Array.make (max 1 (Bytes.length bytes / Svm.Isa.width)) None;
       touch_user_cost;
     }
 
@@ -124,7 +147,7 @@ let map_private (t : t) ~(vaddr : int) ?(init = Bytes.empty) ?backing
   check_overlap t vaddr hi label;
   let bytes = Bytes.make size '\000' in
   Bytes.blit init 0 bytes 0 (Bytes.length init);
-  let npages = max 1 ((size + t.page_size - 1) / t.page_size) in
+  forget t;
   insert t
     {
       lo = vaddr;
@@ -133,16 +156,16 @@ let map_private (t : t) ~(vaddr : int) ?(init = Bytes.empty) ?backing
       writable = true;
       shared = false;
       label;
-      touched = Array.make npages false;
+      touched = Array.make (npages size) false;
       backing = (match backing with Some b -> b | None -> resident_backing ());
       frames = Phys.alloc t.phys ~label ~bytes:size;
-      decode = Array.make (max 1 (size / Svm.Isa.width)) None;
       touch_user_cost;
     }
 
 (** Release all mappings (process teardown). *)
 let destroy (t : t) : unit =
   List.iter (fun r -> Phys.decref t.phys r.frames) t.regions;
+  forget t;
   t.regions <- []
 
 (** [unmap t ~lo] removes the region starting at [lo] (dynamic
@@ -151,19 +174,26 @@ let unmap (t : t) ~(lo : int) : unit =
   match List.find_opt (fun r -> r.lo = lo) t.regions with
   | Some r ->
       Phys.decref t.phys r.frames;
+      forget t;
       t.regions <- List.filter (fun r' -> r'.lo <> lo) t.regions
   | None -> raise (Fault (Printf.sprintf "unmap: no region at 0x%x" lo))
 
+let rec lookup addr = function
+  | [] -> raise (Fault (Printf.sprintf "unmapped address 0x%x" addr))
+  | r :: rest -> if addr >= r.lo && addr < r.hi then r else lookup addr rest
+
 let find_region (t : t) (addr : int) : region =
-  let rec go = function
-    | [] -> raise (Fault (Printf.sprintf "unmapped address 0x%x" addr))
-    | r :: rest -> if addr >= r.lo && addr < r.hi then r else go rest
-  in
-  go t.regions
+  let h = t.hint in
+  if addr >= h.lo && addr < h.hi then h
+  else begin
+    let r = lookup addr t.regions in
+    t.hint <- r;
+    r
+  end
 
 (* Demand-paging charge on first touch of a page. *)
 let touch (t : t) (r : region) (off : int) : unit =
-  let page = off / t.page_size in
+  let page = off lsr page_shift in
   if not r.touched.(page) then begin
     r.touched.(page) <- true;
     if r.touch_user_cost > 0.0 then Clock.charge_user t.clock r.touch_user_cost;
@@ -210,15 +240,15 @@ let store8 (t : t) (addr : int) (v : int) : unit =
   touch t r off;
   Bytes.set_uint8 r.bytes off (v land 0xff)
 
-let load32 (t : t) (addr : int) : int32 =
+let load32 (t : t) (addr : int) : int =
   let r = find_region t addr in
   let off = addr - r.lo in
   if off + 4 > Bytes.length r.bytes then
     raise (Fault (Printf.sprintf "load32 spans end of %s at 0x%x" r.label addr));
   touch t r off;
-  Bytes.get_int32_le r.bytes off
+  Int32.to_int (Bytes.get_int32_le r.bytes off)
 
-let store32 (t : t) (addr : int) (v : int32) : unit =
+let store32 (t : t) (addr : int) (v : int) : unit =
   let r = find_region t addr in
   if not r.writable then
     raise (Fault (Printf.sprintf "write to read-only %s at 0x%x" r.label addr));
@@ -226,33 +256,50 @@ let store32 (t : t) (addr : int) (v : int32) : unit =
   if off + 4 > Bytes.length r.bytes then
     raise (Fault (Printf.sprintf "store32 spans end of %s at 0x%x" r.label addr));
   touch t r off;
-  Bytes.set_int32_le r.bytes off v
+  Bytes.set_int32_le r.bytes off (Int32.of_int v)
 
-(* Writable regions can be modified (lazy-binding patches), so their
-   decode cache must be invalidated on store; rather than tracking
-   that, only read-only regions use the cache. *)
-let fetch (t : t) (addr : int) : Svm.Isa.instr =
-  let r = find_region t addr in
-  let off = addr - r.lo in
+(* A fetch outside the code window: the lookup, demand-paging charge
+   and checks of a single-instruction fetch, then the window moves to
+   the page holding [pc]. Every later fetch in that page would find the
+   page touched and charge nothing, so skipping them is exact. Bytes
+   are read at execution time, so stores into writable code are seen. *)
+let refill (t : t) (pc : int) : unit =
+  let r = lookup pc t.regions in
+  let off = pc - r.lo in
   touch t r off;
-  if off mod Svm.Isa.width <> 0 || off + Svm.Isa.width > Bytes.length r.bytes then
-    raise (Fault (Printf.sprintf "misaligned or out-of-range fetch at 0x%x" addr));
-  let idx = off / Svm.Isa.width in
-  if r.writable then Svm.Encode.decode_at r.bytes off
-  else
-    match r.decode.(idx) with
-    | Some i -> i
-    | None ->
-        let i = Svm.Encode.decode_at r.bytes off in
-        r.decode.(idx) <- Some i;
-        i
+  if off land (Svm.Isa.width - 1) <> 0 || off + Svm.Isa.width > Bytes.length r.bytes then
+    raise (Fault (Printf.sprintf "misaligned or out-of-range fetch at 0x%x" pc));
+  let page_lo = r.lo + (off land lnot (Cost.page_size - 1)) in
+  let m = t.mem in
+  m.code <- r.bytes;
+  m.code_base <- r.lo;
+  m.code_lo <- page_lo;
+  m.code_hi <- min (page_lo + Cost.page_size) (r.hi - Svm.Isa.width + 1)
+
+let create ~(phys : Phys.t) ~(clock : Clock.t) ~(cost : Cost.t) () : t =
+  let rec t =
+    {
+      regions = [];
+      phys;
+      clock;
+      cost;
+      stats = { soft_faults = 0; disk_faults = 0 };
+      hint = no_region;
+      mem =
+        {
+          Svm.Cpu.load8 = (fun a -> load8 t a);
+          store8 = (fun a v -> store8 t a v);
+          load32 = (fun a -> load32 t a);
+          store32 = (fun a v -> store32 t a v);
+          code = Bytes.empty;
+          code_base = 0;
+          code_lo = 0;
+          code_hi = 0;
+          refill = (fun pc -> refill t pc);
+        };
+    }
+  in
+  t
 
 (** CPU memory interface for this address space. *)
-let mem (t : t) : Svm.Cpu.mem =
-  {
-    Svm.Cpu.load8 = load8 t;
-    store8 = store8 t;
-    load32 = load32 t;
-    store32 = store32 t;
-    fetch = fetch t;
-  }
+let mem (t : t) : Svm.Cpu.mem = t.mem

@@ -6,7 +6,13 @@
     private copies. Every region is demand-paged: the first touch of
     each page charges a soft fault (resident backing) or a disk read
     (first-ever load of a segment still "on disk"), plus an optional
-    per-page user cost (deferred-relocation modelling). *)
+    per-page user cost (deferred-relocation modelling).
+
+    The CPU executes straight from the region bytes through the code
+    window of {!mem}: a fetch outside it pays the same lookup, charge
+    and checks a per-instruction fetch would, then the window moves to
+    the page holding the pc. Mapping or unmapping anything empties the
+    window. *)
 
 exception Fault of string
 
@@ -25,7 +31,6 @@ type region = {
   touched : bool array; (* per-page demand accounting *)
   backing : backing_state;
   frames : Phys.frame_group;
-  decode : Svm.Isa.instr option array; (* instruction cache *)
   touch_user_cost : float;
 }
 
@@ -83,9 +88,9 @@ val fault_stats : t -> int * int
 
 val load8 : t -> int -> int
 val store8 : t -> int -> int -> unit
-val load32 : t -> int -> int32
-val store32 : t -> int -> int32 -> unit
-val fetch : t -> int -> Svm.Isa.instr
+val load32 : t -> int -> int
+val store32 : t -> int -> int -> unit
 
-(** CPU memory interface for this address space. *)
+(** CPU memory interface for this address space: one record per space,
+    so every CPU attached to it shares the code window. *)
 val mem : t -> Svm.Cpu.mem

@@ -91,7 +91,7 @@ let do_read (k : t) (p : Proc.t) (cpu : Svm.Cpu.t) : unit =
   let buf = Int32.to_int (reg cpu 2) in
   let len = Int32.to_int (reg cpu 3) in
   match Proc.find_fd p fd with
-  | Some (Proc.Fd_file f) ->
+  | Some (Proc.Fd_file f) when len >= 0 ->
       let n = min len (Bytes.length f.data - f.pos) in
       if n > 0 then begin
         (* first read of a file pays for its pages; later reads hit the
@@ -105,7 +105,7 @@ let do_read (k : t) (p : Proc.t) (cpu : Svm.Cpu.t) : unit =
         f.pos <- f.pos + n
       end;
       ret cpu n
-  | Some (Proc.Fd_dir _) | None -> ret cpu (-1)
+  | Some (Proc.Fd_file _ | Proc.Fd_dir _) | None -> ret cpu (-1)
 
 let do_write (k : t) (p : Proc.t) (cpu : Svm.Cpu.t) : unit =
   let fd = Int32.to_int (reg cpu 1) in
@@ -128,12 +128,12 @@ let do_stat (k : t) (cpu : Svm.Cpu.t) : unit =
   charge_sys k (k.cost.Cost.open_file *. 0.6);
   match Fs.stat k.fs path with
   | Some (`File size) ->
-      cpu.Svm.Cpu.mem.Svm.Cpu.store32 out 0l;
-      cpu.Svm.Cpu.mem.Svm.Cpu.store32 (out + 4) (Int32.of_int size);
+      cpu.Svm.Cpu.mem.Svm.Cpu.store32 out 0;
+      cpu.Svm.Cpu.mem.Svm.Cpu.store32 (out + 4) size;
       ret cpu 0
   | Some (`Dir n) ->
-      cpu.Svm.Cpu.mem.Svm.Cpu.store32 out 1l;
-      cpu.Svm.Cpu.mem.Svm.Cpu.store32 (out + 4) (Int32.of_int n);
+      cpu.Svm.Cpu.mem.Svm.Cpu.store32 out 1;
+      cpu.Svm.Cpu.mem.Svm.Cpu.store32 (out + 4) n;
       ret cpu 0
   | None -> ret cpu (-1)
 
@@ -152,7 +152,7 @@ let do_argv (p : Proc.t) (cpu : Svm.Cpu.t) : unit =
   let i = Int32.to_int (reg cpu 1) in
   let buf = Int32.to_int (reg cpu 2) in
   let maxlen = Int32.to_int (reg cpu 3) in
-  match List.nth_opt p.Proc.args i with
+  match if i < 0 then None else List.nth_opt p.Proc.args i with
   | Some arg when String.length arg + 1 <= maxlen ->
       Svm.Cpu.write_bytes cpu buf (Bytes.of_string (arg ^ "\000"));
       ret cpu (String.length arg)

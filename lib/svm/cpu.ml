@@ -1,4 +1,5 @@
-(** The SVM processor: a fetch-decode-execute interpreter.
+(** The SVM processor: an interpreter that executes straight from the
+    encoded bytes.
 
     The CPU is parameterized over a {!mem} record so the same core runs
     against a flat test memory or against [simos] page tables (where
@@ -8,16 +9,27 @@
 exception Trap of string
 
 (** Memory interface supplied by the environment. Addresses are
-    non-negative ints (32-bit address space). Implementations may raise
-    {!Trap} on unmapped accesses. [fetch] returns the decoded
-    instruction at an address; environments typically back it with a
-    per-page decode cache. *)
+    non-negative ints (32-bit address space); words are sign-extended
+    32-bit ints. Implementations may raise {!Trap} on unmapped
+    accesses.
+
+    Instructions are read from the {e code window}: [code] holds the
+    bytes of address [code_base] at offset 0, and every aligned pc in
+    [\[code_lo, code_hi)] may be read from it with no further check or
+    charge. Any other pc goes through [refill pc], which charges and
+    checks the fetch exactly as a per-instruction fetch would, and
+    either raises or leaves [pc]'s instruction readable from
+    [code] at [pc - code_base] (usually by moving the window). *)
 type mem = {
   load8 : int -> int;
   store8 : int -> int -> unit;
-  load32 : int -> int32;
-  store32 : int -> int32 -> unit;
-  fetch : int -> Isa.instr;
+  load32 : int -> int;
+  store32 : int -> int -> unit;
+  mutable code : Bytes.t;
+  mutable code_base : int;
+  mutable code_lo : int;
+  mutable code_hi : int;
+  refill : int -> unit;
 }
 
 (** [flat_mem size] is a simple linear memory for tests and standalone
@@ -32,12 +44,15 @@ let flat_mem (size : int) : mem * Bytes.t =
     {
       load8 = (fun a -> check a 1; Bytes.get_uint8 buf a);
       store8 = (fun a v -> check a 1; Bytes.set_uint8 buf a (v land 0xff));
-      load32 = (fun a -> check a 4; Bytes.get_int32_le buf a);
-      store32 = (fun a v -> check a 4; Bytes.set_int32_le buf a v);
-      fetch =
-        (fun a ->
-          check a Isa.width;
-          Encode.decode_at buf a);
+      load32 = (fun a -> check a 4; Int32.to_int (Bytes.get_int32_le buf a));
+      store32 = (fun a v -> check a 4; Bytes.set_int32_le buf a (Int32.of_int v));
+      (* the window is the whole buffer; a misaligned but in-range pc
+         is legal here and is read after [refill]'s range check *)
+      code = buf;
+      code_base = 0;
+      code_lo = 0;
+      code_hi = size - Isa.width + 1;
+      refill = (fun a -> check a Isa.width);
     }
   in
   (mem, buf)
@@ -48,7 +63,7 @@ type sys_result = Sys_continue | Sys_exit of int
 type outcome = Running | Halted | Exited of int
 
 type t = {
-  regs : int32 array;
+  regs : int array; (* sign-extended 32-bit values *)
   mutable pc : int;
   mutable instr_count : int;
   mutable outcome : outcome;
@@ -58,7 +73,7 @@ type t = {
 
 let create ?(sys = fun _ _ -> Sys_continue) (mem : mem) : t =
   {
-    regs = Array.make Isa.nregs 0l;
+    regs = Array.make Isa.nregs 0;
     pc = 0;
     instr_count = 0;
     outcome = Running;
@@ -66,88 +81,129 @@ let create ?(sys = fun _ _ -> Sys_continue) (mem : mem) : t =
     sys;
   }
 
-let get_reg (cpu : t) (r : int) : int32 = cpu.regs.(r)
-let set_reg (cpu : t) (r : int) (v : int32) : unit = cpu.regs.(r) <- v
+let get_reg (cpu : t) (r : int) : int32 = Int32.of_int cpu.regs.(r)
+let set_reg (cpu : t) (r : int) (v : int32) : unit = cpu.regs.(r) <- Int32.to_int v
 
-(** Interpret an int32 register value as an unsigned 32-bit address. *)
-let addr_of (v : int32) : int = Int32.to_int v land 0xFFFFFFFF
+(* 32-bit wrap-around on the host's 63-bit ints: keep the low 32 bits,
+   sign-extended, exactly as [Int32] arithmetic would leave them. *)
+let sext32 (x : int) : int = (x lsl 31) asr 31
 
-let bool32 b = if b then 1l else 0l
+(* A register value as an unsigned 32-bit address. *)
+let addr32 = 0xFFFF_FFFF
+
+(* One handler per opcode, indexed by the {!Isa} opcode constants. A
+   handler runs after the pc has moved to the next instruction, so
+   [cpu.pc] is "next" for relative branches and return addresses. *)
+let handlers : (t -> int -> int -> int -> int -> unit) array =
+  let h = Array.make (Isa.max_opcode + 1) (fun _ _ _ _ _ -> ()) in
+  let ( => ) op f = h.(op) <- f in
+  Isa.op_halt => (fun cpu _ _ _ _ -> cpu.outcome <- Halted);
+  Isa.op_nop => (fun _ _ _ _ _ -> ());
+  Isa.op_movi => (fun cpu rd _ _ imm -> cpu.regs.(rd) <- imm);
+  Isa.op_mov => (fun cpu rd a _ _ -> let r = cpu.regs in r.(rd) <- r.(a));
+  Isa.op_add => (fun cpu rd a b _ -> let r = cpu.regs in r.(rd) <- sext32 (r.(a) + r.(b)));
+  Isa.op_sub => (fun cpu rd a b _ -> let r = cpu.regs in r.(rd) <- sext32 (r.(a) - r.(b)));
+  Isa.op_mul => (fun cpu rd a b _ -> let r = cpu.regs in r.(rd) <- sext32 (r.(a) * r.(b)));
+  (* [min_int / -1] is 2^31 here and wraps back to [min_int], as
+     [Int32.div] gives; [rem] already matches [Int32.rem] *)
+  Isa.op_div =>
+    (fun cpu rd a b _ ->
+      let r = cpu.regs in
+      if r.(b) = 0 then raise (Trap "division by zero")
+      else r.(rd) <- sext32 (r.(a) / r.(b)));
+  Isa.op_mod =>
+    (fun cpu rd a b _ ->
+      let r = cpu.regs in
+      if r.(b) = 0 then raise (Trap "division by zero") else r.(rd) <- r.(a) mod r.(b));
+  Isa.op_and => (fun cpu rd a b _ -> let r = cpu.regs in r.(rd) <- r.(a) land r.(b));
+  Isa.op_or => (fun cpu rd a b _ -> let r = cpu.regs in r.(rd) <- r.(a) lor r.(b));
+  Isa.op_xor => (fun cpu rd a b _ -> let r = cpu.regs in r.(rd) <- r.(a) lxor r.(b));
+  Isa.op_shl =>
+    (fun cpu rd a b _ -> let r = cpu.regs in r.(rd) <- sext32 (r.(a) lsl (r.(b) land 31)));
+  Isa.op_shr =>
+    (fun cpu rd a b _ ->
+      let r = cpu.regs in
+      r.(rd) <- sext32 ((r.(a) land addr32) lsr (r.(b) land 31)));
+  Isa.op_addi => (fun cpu rd a _ imm -> let r = cpu.regs in r.(rd) <- sext32 (r.(a) + imm));
+  Isa.op_cmpeq =>
+    (fun cpu rd a b _ -> let r = cpu.regs in r.(rd) <- (if r.(a) = r.(b) then 1 else 0));
+  Isa.op_cmplt =>
+    (fun cpu rd a b _ -> let r = cpu.regs in r.(rd) <- (if r.(a) < r.(b) then 1 else 0));
+  Isa.op_cmple =>
+    (fun cpu rd a b _ -> let r = cpu.regs in r.(rd) <- (if r.(a) <= r.(b) then 1 else 0));
+  Isa.op_ld =>
+    (fun cpu rd a _ imm ->
+      let r = cpu.regs in
+      r.(rd) <- cpu.mem.load32 ((r.(a) + imm) land addr32));
+  Isa.op_st =>
+    (fun cpu _ a s imm ->
+      let r = cpu.regs in
+      cpu.mem.store32 ((r.(a) + imm) land addr32) r.(s));
+  Isa.op_ldb =>
+    (fun cpu rd a _ imm ->
+      let r = cpu.regs in
+      r.(rd) <- cpu.mem.load8 ((r.(a) + imm) land addr32));
+  Isa.op_stb =>
+    (fun cpu _ a s imm ->
+      let r = cpu.regs in
+      cpu.mem.store8 ((r.(a) + imm) land addr32) (r.(s) land 0xff));
+  Isa.op_lea => (fun cpu rd _ _ imm -> cpu.regs.(rd) <- imm);
+  Isa.op_jmp => (fun cpu _ _ _ imm -> cpu.pc <- imm land addr32);
+  Isa.op_jz => (fun cpu _ a _ imm -> if cpu.regs.(a) = 0 then cpu.pc <- cpu.pc + imm);
+  Isa.op_jnz => (fun cpu _ a _ imm -> if cpu.regs.(a) <> 0 then cpu.pc <- cpu.pc + imm);
+  Isa.op_call =>
+    (fun cpu _ _ _ imm ->
+      cpu.regs.(Isa.reg_ra) <- sext32 cpu.pc;
+      cpu.pc <- imm land addr32);
+  Isa.op_callr =>
+    (fun cpu _ a _ _ ->
+      let r = cpu.regs in
+      let target = r.(a) land addr32 in
+      r.(Isa.reg_ra) <- sext32 cpu.pc;
+      cpu.pc <- target);
+  Isa.op_jmpr => (fun cpu _ a _ _ -> cpu.pc <- cpu.regs.(a) land addr32);
+  Isa.op_ret => (fun cpu _ _ _ _ -> cpu.pc <- cpu.regs.(Isa.reg_ra) land addr32);
+  Isa.op_sys =>
+    (fun cpu _ _ _ imm ->
+      match cpu.sys cpu imm with
+      | Sys_continue -> ()
+      | Sys_exit code -> cpu.outcome <- Exited code);
+  Isa.op_br => (fun cpu _ _ _ imm -> cpu.pc <- cpu.pc + imm);
+  h
+
+(* Execute the instruction at the pc of a running CPU. A bad opcode
+   raises before the pc or the count moves. *)
+let[@inline] exec (cpu : t) : unit =
+  let pc = cpu.pc in
+  let m = cpu.mem in
+  if pc < m.code_lo || pc >= m.code_hi || (pc - m.code_base) land (Isa.width - 1) <> 0
+  then m.refill pc;
+  let b = m.code in
+  let off = pc - m.code_base in
+  let op = Bytes.get_uint8 b off in
+  if op > Isa.max_opcode then Encode.bad_opcode op;
+  cpu.instr_count <- cpu.instr_count + 1;
+  cpu.pc <- pc + Isa.width;
+  handlers.(op) cpu
+    (Bytes.get_uint8 b (off + 1))
+    (Bytes.get_uint8 b (off + 2))
+    (Bytes.get_uint8 b (off + 3))
+    (Int32.to_int (Bytes.get_int32_le b (off + Isa.imm_offset)))
 
 (** Execute one instruction. No-op once the CPU has halted or exited. *)
 let step (cpu : t) : unit =
-  match cpu.outcome with
-  | Halted | Exited _ -> ()
-  | Running -> (
-      let i = cpu.mem.fetch cpu.pc in
-      let next = cpu.pc + Isa.width in
-      cpu.instr_count <- cpu.instr_count + 1;
-      let r = cpu.regs in
-      let binop rd a b f = r.(rd) <- f r.(a) r.(b) in
-      let nonzero_div rd a b f =
-        if r.(b) = 0l then raise (Trap "division by zero")
-        else r.(rd) <- f r.(a) r.(b)
-      in
-      cpu.pc <- next;
-      match i with
-      | Isa.Halt -> cpu.outcome <- Halted
-      | Isa.Nop -> ()
-      | Isa.Movi (rd, imm) | Isa.Lea (rd, imm) -> r.(rd) <- imm
-      | Isa.Mov (rd, rs1) -> r.(rd) <- r.(rs1)
-      | Isa.Add (rd, a, b) -> binop rd a b Int32.add
-      | Isa.Sub (rd, a, b) -> binop rd a b Int32.sub
-      | Isa.Mul (rd, a, b) -> binop rd a b Int32.mul
-      | Isa.Div (rd, a, b) -> nonzero_div rd a b Int32.div
-      | Isa.Mod (rd, a, b) -> nonzero_div rd a b Int32.rem
-      | Isa.And_ (rd, a, b) -> binop rd a b Int32.logand
-      | Isa.Or_ (rd, a, b) -> binop rd a b Int32.logor
-      | Isa.Xor (rd, a, b) -> binop rd a b Int32.logxor
-      | Isa.Shl (rd, a, b) ->
-          r.(rd) <- Int32.shift_left r.(a) (Int32.to_int r.(b) land 31)
-      | Isa.Shr (rd, a, b) ->
-          r.(rd) <- Int32.shift_right_logical r.(a) (Int32.to_int r.(b) land 31)
-      | Isa.Addi (rd, a, imm) -> r.(rd) <- Int32.add r.(a) imm
-      | Isa.Cmpeq (rd, a, b) -> r.(rd) <- bool32 (r.(a) = r.(b))
-      | Isa.Cmplt (rd, a, b) -> r.(rd) <- bool32 (Int32.compare r.(a) r.(b) < 0)
-      | Isa.Cmple (rd, a, b) -> r.(rd) <- bool32 (Int32.compare r.(a) r.(b) <= 0)
-      | Isa.Ld (rd, a, imm) ->
-          r.(rd) <- cpu.mem.load32 (addr_of (Int32.add r.(a) imm))
-      | Isa.St (a, s, imm) ->
-          cpu.mem.store32 (addr_of (Int32.add r.(a) imm)) r.(s)
-      | Isa.Ldb (rd, a, imm) ->
-          r.(rd) <- Int32.of_int (cpu.mem.load8 (addr_of (Int32.add r.(a) imm)))
-      | Isa.Stb (a, s, imm) ->
-          cpu.mem.store8 (addr_of (Int32.add r.(a) imm)) (Int32.to_int r.(s) land 0xff)
-      | Isa.Jmp imm -> cpu.pc <- addr_of imm
-      | Isa.Br imm -> cpu.pc <- next + Int32.to_int imm
-      | Isa.Jz (a, imm) -> if r.(a) = 0l then cpu.pc <- next + Int32.to_int imm
-      | Isa.Jnz (a, imm) -> if r.(a) <> 0l then cpu.pc <- next + Int32.to_int imm
-      | Isa.Call imm ->
-          r.(Isa.reg_ra) <- Int32.of_int next;
-          cpu.pc <- addr_of imm
-      | Isa.Callr a ->
-          let target = addr_of r.(a) in
-          r.(Isa.reg_ra) <- Int32.of_int next;
-          cpu.pc <- target
-      | Isa.Jmpr a -> cpu.pc <- addr_of r.(a)
-      | Isa.Ret -> cpu.pc <- addr_of r.(Isa.reg_ra)
-      | Isa.Sys imm -> (
-          match cpu.sys cpu (Int32.to_int imm) with
-          | Sys_continue -> ()
-          | Sys_exit code -> cpu.outcome <- Exited code))
+  match cpu.outcome with Running -> exec cpu | Halted | Exited _ -> ()
 
 (** [run ~fuel cpu] steps until the CPU halts, exits, or [fuel]
     instructions have executed. Returns the final outcome ([Running]
     means the fuel ran out). *)
 let run ?(fuel = max_int) (cpu : t) : outcome =
-  let rec go budget =
-    match cpu.outcome with
-    | Running when budget > 0 ->
-        step cpu;
-        go (budget - 1)
-    | o -> o
-  in
-  go fuel
+  let budget = ref fuel in
+  while cpu.outcome == Running && !budget > 0 do
+    exec cpu;
+    decr budget
+  done;
+  cpu.outcome
 
 (** Convenience accessors for the simulated C-like ABI. *)
 
@@ -163,9 +219,16 @@ let read_cstring (cpu : t) (addr : int) : string =
   in
   go addr
 
-(** Read [len] raw bytes from memory starting at [addr]. *)
+(** Read [len] raw bytes from memory starting at [addr]. The result
+    grows as bytes are read, so a huge [len] over a short mapping
+    faults at the first unmapped byte without reserving [len] bytes
+    first. *)
 let read_bytes (cpu : t) (addr : int) (len : int) : Bytes.t =
-  Bytes.init len (fun i -> Char.chr (cpu.mem.load8 (addr + i)))
+  let buf = Buffer.create (max 1 (min len 4096)) in
+  for i = 0 to len - 1 do
+    Buffer.add_char buf (Char.chr (cpu.mem.load8 (addr + i)))
+  done;
+  Buffer.to_bytes buf
 
 (** Write raw bytes into memory starting at [addr]. *)
 let write_bytes (cpu : t) (addr : int) (b : Bytes.t) : unit =

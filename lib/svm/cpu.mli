@@ -8,16 +8,27 @@
 exception Trap of string
 
 (** Memory interface supplied by the environment. Addresses are
-    non-negative ints (32-bit address space). Implementations may raise
-    {!Trap} on unmapped accesses. [fetch] returns the decoded
-    instruction at an address; environments typically back it with a
-    per-page decode cache. *)
+    non-negative ints (32-bit address space); words are sign-extended
+    32-bit ints. Implementations may raise {!Trap} on unmapped
+    accesses.
+
+    Instructions are read from the {e code window}: [code] holds the
+    bytes of address [code_base] at offset 0, and every pc in
+    [\[code_lo, code_hi)] whose offset from [code_base] is a multiple
+    of {!Isa.width} is read from it with no further check or charge.
+    Any other pc goes through [refill pc], which checks and charges the
+    fetch and then either raises or leaves [pc]'s instruction readable
+    at [pc - code_base] in [code]. *)
 type mem = {
   load8 : int -> int;
   store8 : int -> int -> unit;
-  load32 : int -> int32;
-  store32 : int -> int32 -> unit;
-  fetch : int -> Isa.instr;
+  load32 : int -> int;
+  store32 : int -> int -> unit;
+  mutable code : Bytes.t;
+  mutable code_base : int;
+  mutable code_lo : int;
+  mutable code_hi : int;
+  refill : int -> unit;
 }
 
 (** [flat_mem size] is a simple linear memory for tests and standalone
@@ -30,7 +41,7 @@ type sys_result = Sys_continue | Sys_exit of int
 type outcome = Running | Halted | Exited of int
 
 type t = {
-  regs : int32 array;
+  regs : int array; (** sign-extended 32-bit values *)
   mutable pc : int;
   mutable instr_count : int;
   mutable outcome : outcome;
@@ -42,11 +53,11 @@ val create : ?sys:(t -> int -> sys_result) -> mem -> t
 val get_reg : t -> int -> int32
 val set_reg : t -> int -> int32 -> unit
 
-(** Interpret an int32 register value as an unsigned 32-bit address. *)
-val addr_of : int32 -> int
-
 (** Execute one instruction. No-op once the CPU has halted or exited.
-    @raise Trap on division by zero or a memory fault. *)
+    Registers wrap exactly as [Int32] arithmetic does.
+    @raise Trap on division by zero or a memory fault.
+    @raise Encode.Bad_instruction on an unknown opcode, before the pc
+    or the instruction count moves. *)
 val step : t -> unit
 
 (** [run ~fuel cpu] steps until the CPU halts, exits, or [fuel]

@@ -51,43 +51,53 @@ let encode (i : Isa.instr) : Bytes.t =
   encode_at buf 0 i;
   buf
 
+(* One constructor per opcode, indexed by the {!Isa} opcode constants. *)
+let decoders : (int -> int -> int -> int32 -> Isa.instr) array =
+  let d = Array.make (Isa.max_opcode + 1) (fun _ _ _ _ -> Isa.Halt) in
+  let ( => ) op f = d.(op) <- f in
+  Isa.op_halt => (fun _ _ _ _ -> Halt);
+  Isa.op_nop => (fun _ _ _ _ -> Nop);
+  Isa.op_movi => (fun rd _ _ imm -> Movi (rd, imm));
+  Isa.op_mov => (fun rd rs1 _ _ -> Mov (rd, rs1));
+  Isa.op_add => (fun rd rs1 rs2 _ -> Add (rd, rs1, rs2));
+  Isa.op_sub => (fun rd rs1 rs2 _ -> Sub (rd, rs1, rs2));
+  Isa.op_mul => (fun rd rs1 rs2 _ -> Mul (rd, rs1, rs2));
+  Isa.op_div => (fun rd rs1 rs2 _ -> Div (rd, rs1, rs2));
+  Isa.op_mod => (fun rd rs1 rs2 _ -> Mod (rd, rs1, rs2));
+  Isa.op_and => (fun rd rs1 rs2 _ -> And_ (rd, rs1, rs2));
+  Isa.op_or => (fun rd rs1 rs2 _ -> Or_ (rd, rs1, rs2));
+  Isa.op_xor => (fun rd rs1 rs2 _ -> Xor (rd, rs1, rs2));
+  Isa.op_shl => (fun rd rs1 rs2 _ -> Shl (rd, rs1, rs2));
+  Isa.op_shr => (fun rd rs1 rs2 _ -> Shr (rd, rs1, rs2));
+  Isa.op_addi => (fun rd rs1 _ imm -> Addi (rd, rs1, imm));
+  Isa.op_cmpeq => (fun rd rs1 rs2 _ -> Cmpeq (rd, rs1, rs2));
+  Isa.op_cmplt => (fun rd rs1 rs2 _ -> Cmplt (rd, rs1, rs2));
+  Isa.op_cmple => (fun rd rs1 rs2 _ -> Cmple (rd, rs1, rs2));
+  Isa.op_ld => (fun rd rs1 _ imm -> Ld (rd, rs1, imm));
+  Isa.op_st => (fun _ rs1 rs2 imm -> St (rs1, rs2, imm));
+  Isa.op_ldb => (fun rd rs1 _ imm -> Ldb (rd, rs1, imm));
+  Isa.op_stb => (fun _ rs1 rs2 imm -> Stb (rs1, rs2, imm));
+  Isa.op_lea => (fun rd _ _ imm -> Lea (rd, imm));
+  Isa.op_jmp => (fun _ _ _ imm -> Jmp imm);
+  Isa.op_jz => (fun _ rs1 _ imm -> Jz (rs1, imm));
+  Isa.op_jnz => (fun _ rs1 _ imm -> Jnz (rs1, imm));
+  Isa.op_call => (fun _ _ _ imm -> Call imm);
+  Isa.op_callr => (fun _ rs1 _ _ -> Callr rs1);
+  Isa.op_jmpr => (fun _ rs1 _ _ -> Jmpr rs1);
+  Isa.op_ret => (fun _ _ _ _ -> Ret);
+  Isa.op_sys => (fun _ _ _ imm -> Sys imm);
+  Isa.op_br => (fun _ _ _ imm -> Br imm);
+  d
+
+(** [bad_opcode op] raises the {!Bad_instruction} an unknown opcode
+    gets. *)
+let bad_opcode op = raise (Bad_instruction (Printf.sprintf "bad opcode %d" op))
+
 (** [decode_fields op rd rs1 rs2 imm] rebuilds the instruction from its
     raw fields. Raises {!Bad_instruction} on an unknown opcode. *)
 let decode_fields op rd rs1 rs2 (imm : int32) : Isa.instr =
-  match op with
-  | 0 -> Halt
-  | 1 -> Nop
-  | 2 -> Movi (rd, imm)
-  | 3 -> Mov (rd, rs1)
-  | 4 -> Add (rd, rs1, rs2)
-  | 5 -> Sub (rd, rs1, rs2)
-  | 6 -> Mul (rd, rs1, rs2)
-  | 7 -> Div (rd, rs1, rs2)
-  | 8 -> Mod (rd, rs1, rs2)
-  | 9 -> And_ (rd, rs1, rs2)
-  | 10 -> Or_ (rd, rs1, rs2)
-  | 11 -> Xor (rd, rs1, rs2)
-  | 12 -> Shl (rd, rs1, rs2)
-  | 13 -> Shr (rd, rs1, rs2)
-  | 14 -> Addi (rd, rs1, imm)
-  | 15 -> Cmpeq (rd, rs1, rs2)
-  | 16 -> Cmplt (rd, rs1, rs2)
-  | 17 -> Cmple (rd, rs1, rs2)
-  | 18 -> Ld (rd, rs1, imm)
-  | 19 -> St (rs1, rs2, imm)
-  | 20 -> Ldb (rd, rs1, imm)
-  | 21 -> Stb (rs1, rs2, imm)
-  | 22 -> Lea (rd, imm)
-  | 23 -> Jmp imm
-  | 24 -> Jz (rs1, imm)
-  | 25 -> Jnz (rs1, imm)
-  | 26 -> Call imm
-  | 27 -> Callr rs1
-  | 28 -> Jmpr rs1
-  | 29 -> Ret
-  | 30 -> Sys imm
-  | 31 -> Br imm
-  | n -> raise (Bad_instruction (Printf.sprintf "bad opcode %d" n))
+  if op < 0 || op > Isa.max_opcode then bad_opcode op;
+  decoders.(op) rd rs1 rs2 imm
 
 (** [decode_at buf off] decodes the instruction stored at [off]. *)
 let decode_at (buf : Bytes.t) (off : int) : Isa.instr =

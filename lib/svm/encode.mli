@@ -5,6 +5,10 @@ val check_reg : int -> unit
 val fields : Isa.instr -> int * int * int * int32
 val encode_at : Bytes.t -> int -> Isa.instr -> unit
 val encode : Isa.instr -> Bytes.t
+
+(** Raises the {!Bad_instruction} an unknown opcode gets. *)
+val bad_opcode : int -> 'a
+
 val decode_fields :
   int -> Isa.reg -> Isa.reg -> Isa.reg -> int32 -> Isa.instr
 val decode_at : Bytes.t -> int -> Isa.instr

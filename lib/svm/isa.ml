@@ -67,41 +67,77 @@ type instr =
   | Sys of int32 (* invoke syscall #imm; args r1..r4, result r0 *)
   | Br of int32 (* pc := pc + 8 + imm (unconditional, pc-relative) *)
 
-let opcode = function
-  | Halt -> 0
-  | Nop -> 1
-  | Movi _ -> 2
-  | Mov _ -> 3
-  | Add _ -> 4
-  | Sub _ -> 5
-  | Mul _ -> 6
-  | Div _ -> 7
-  | Mod _ -> 8
-  | And_ _ -> 9
-  | Or_ _ -> 10
-  | Xor _ -> 11
-  | Shl _ -> 12
-  | Shr _ -> 13
-  | Addi _ -> 14
-  | Cmpeq _ -> 15
-  | Cmplt _ -> 16
-  | Cmple _ -> 17
-  | Ld _ -> 18
-  | St _ -> 19
-  | Ldb _ -> 20
-  | Stb _ -> 21
-  | Lea _ -> 22
-  | Jmp _ -> 23
-  | Jz _ -> 24
-  | Jnz _ -> 25
-  | Call _ -> 26
-  | Callr _ -> 27
-  | Jmpr _ -> 28
-  | Ret -> 29
-  | Sys _ -> 30
-  | Br _ -> 31
+(** Opcode numbers (byte 0 of an encoded instruction). The numbering
+    is written here and nowhere else: {!opcode}, the decoder and the
+    interpreter's dispatch all name these constants. *)
+let op_halt = 0
+let op_nop = 1
+let op_movi = 2
+let op_mov = 3
+let op_add = 4
+let op_sub = 5
+let op_mul = 6
+let op_div = 7
+let op_mod = 8
+let op_and = 9
+let op_or = 10
+let op_xor = 11
+let op_shl = 12
+let op_shr = 13
+let op_addi = 14
+let op_cmpeq = 15
+let op_cmplt = 16
+let op_cmple = 17
+let op_ld = 18
+let op_st = 19
+let op_ldb = 20
+let op_stb = 21
+let op_lea = 22
+let op_jmp = 23
+let op_jz = 24
+let op_jnz = 25
+let op_call = 26
+let op_callr = 27
+let op_jmpr = 28
+let op_ret = 29
+let op_sys = 30
+let op_br = 31
 
-let max_opcode = 31
+let max_opcode = op_br
+
+let opcode = function
+  | Halt -> op_halt
+  | Nop -> op_nop
+  | Movi _ -> op_movi
+  | Mov _ -> op_mov
+  | Add _ -> op_add
+  | Sub _ -> op_sub
+  | Mul _ -> op_mul
+  | Div _ -> op_div
+  | Mod _ -> op_mod
+  | And_ _ -> op_and
+  | Or_ _ -> op_or
+  | Xor _ -> op_xor
+  | Shl _ -> op_shl
+  | Shr _ -> op_shr
+  | Addi _ -> op_addi
+  | Cmpeq _ -> op_cmpeq
+  | Cmplt _ -> op_cmplt
+  | Cmple _ -> op_cmple
+  | Ld _ -> op_ld
+  | St _ -> op_st
+  | Ldb _ -> op_ldb
+  | Stb _ -> op_stb
+  | Lea _ -> op_lea
+  | Jmp _ -> op_jmp
+  | Jz _ -> op_jz
+  | Jnz _ -> op_jnz
+  | Call _ -> op_call
+  | Callr _ -> op_callr
+  | Jmpr _ -> op_jmpr
+  | Ret -> op_ret
+  | Sys _ -> op_sys
+  | Br _ -> op_br
 
 (** Byte offset of the immediate field within an encoded instruction —
     the locus a relocation patches. *)

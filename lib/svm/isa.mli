@@ -53,7 +53,41 @@ type instr =
   | Ret
   | Sys of int32
   | Br of int32
-val opcode : instr -> int
+(** Opcode numbers, one constant per instruction, in encoding order. *)
+
+val op_halt : int
+val op_nop : int
+val op_movi : int
+val op_mov : int
+val op_add : int
+val op_sub : int
+val op_mul : int
+val op_div : int
+val op_mod : int
+val op_and : int
+val op_or : int
+val op_xor : int
+val op_shl : int
+val op_shr : int
+val op_addi : int
+val op_cmpeq : int
+val op_cmplt : int
+val op_cmple : int
+val op_ld : int
+val op_st : int
+val op_ldb : int
+val op_stb : int
+val op_lea : int
+val op_jmp : int
+val op_jz : int
+val op_jnz : int
+val op_call : int
+val op_callr : int
+val op_jmpr : int
+val op_ret : int
+val op_sys : int
+val op_br : int
 val max_opcode : int
+val opcode : instr -> int
 val imm_offset : int
 val mnemonic : instr -> string
