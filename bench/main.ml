@@ -421,7 +421,13 @@ let cache () =
     (Telemetry.Counter.get "residency.evicted")
     (Telemetry.Counter.get "residency.invariant_checks")
     (Telemetry.Counter.get "residency.invariant_violations")
-    (List.length viols)
+    (List.length viols);
+  (* real hashes of image bytes over the whole run: a hit reads the
+     image's memoized digest, so a change that hashes per hit again
+     raises this gated gauge *)
+  let digests = Telemetry.Counter.get "linker.image_digests" in
+  Printf.printf "  image digests computed: %d\n" digests;
+  Telemetry.Gauge.set "bench.cache.image_digests" (float_of_int digests)
 
 (* -- E4: constraint system ---------------------------------------------------------- *)
 

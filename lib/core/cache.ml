@@ -111,7 +111,7 @@ let insert (t : t) ~(key : string) ~(text_base : int) ~(data_base : int)
       image;
       text_base;
       data_base;
-      disk_bytes = Bytes.length (Linker.Image.encode image);
+      disk_bytes = Linker.Image.encoded_size image;
       hits = 0;
       residency;
       provenance;

@@ -50,17 +50,6 @@ type proc_rt = {
   mutable binds : int;
 }
 
-(* Resolver over library images. *)
-let resolver_of (libs : Linker.Image.t list) : string -> int option =
-  let tbl = Hashtbl.create 256 in
-  List.iter
-    (fun (img : Linker.Image.t) ->
-      List.iter
-        (fun (n, a) -> if not (Hashtbl.mem tbl n) then Hashtbl.replace tbl n a)
-        img.Linker.Image.symtab)
-    libs;
-  Hashtbl.find_opt tbl
-
 (** Interface version of a library set: a digest of the exported names.
     Recorded in partial-image clients and checked when the library is
     loaded — the safety mechanism the paper says "should be
@@ -118,7 +107,7 @@ let handle_bind (rt : t) (k : Simos.Kernel.t) (p : Simos.Proc.t) (cpu : Svm.Cpu.
                       (String.sub st.expected_version 0 8)
                       (String.sub version 0 8)));
             List.iter (Server.map_into rt.server p) builts;
-            st.resolve <- resolver_of imgs;
+            st.resolve <- Linker.Image.find_symbol_in imgs;
             st.libs_mapped <- true
           end;
           (* hash-table lookup of the entry point *)
@@ -183,13 +172,8 @@ let install_executable (server : Server.t) ~(path : string) (img : Linker.Image.
 (* Imports of a client module satisfiable by the given library images. *)
 let imports_of (client : Jigsaw.Module_ops.t) (libs : Linker.Image.t list) :
     Stubs.import list =
-  let available = Hashtbl.create 64 in
-  List.iter
-    (fun (img : Linker.Image.t) ->
-      List.iter (fun (n, _) -> Hashtbl.replace available n ()) img.Linker.Image.symtab)
-    libs;
   Jigsaw.Module_ops.undefined client
-  |> List.filter (Hashtbl.mem available)
+  |> List.filter (fun n -> Linker.Image.find_symbol_in libs n <> None)
   |> List.map Stubs.import_of_name
 
 (* Count of "eager" relocations a traditional dynamic loader performs
@@ -313,7 +297,7 @@ let dynamic_program (rt : t) ~(name : string) ~(client : Sof.Object_file.t list)
            *. (float_of_int relocs /. float_of_int text_pages)))
       lib_builts lib_frag_sets
   in
-  let resolve = resolver_of lib_imgs in
+  let resolve = Linker.Image.find_symbol_in lib_imgs in
   let slot_addr n =
     match Linker.Image.find_symbol client_img (n ^ "$slot") with
     | Some a -> a

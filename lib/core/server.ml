@@ -290,6 +290,7 @@ let stats (t : t) : stats =
 
 let namespace (t : t) : Namespace.t = t.ns
 let cache_stats (t : t) : Cache.stats = Cache.stats t.cache
+let cache_entries (t : t) : Cache.entry list = Cache.to_list t.cache
 let kernel (t : t) : Simos.Kernel.t = t.kernel
 let text_arena (t : t) : Constraints.Placement.t = t.text_arena
 let data_arena (t : t) : Constraints.Placement.t = t.data_arena
@@ -718,7 +719,7 @@ and stage_link (t : t) (job : job) () : unit =
   Telemetry.Provenance.note_built ~name provenance;
   let e =
     Cache.insert t.cache ~key:job.jkey ~text_base ~data_base ~provenance
-      { img with Linker.Image.name }
+      (Linker.Image.with_name img name)
   in
   (match job.jreq.target with
   | Library _ -> Residency.note_placed t.residency e

@@ -67,6 +67,10 @@ type stats = {
 val stats : t -> stats
 val namespace : t -> Namespace.t
 val cache_stats : t -> Cache.stats
+
+(** Every live cache entry, across all placements. *)
+val cache_entries : t -> Cache.entry list
+
 val kernel : t -> Simos.Kernel.t
 val text_arena : t -> Constraints.Placement.t
 val data_arena : t -> Constraints.Placement.t

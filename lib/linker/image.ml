@@ -12,6 +12,13 @@ type segment = {
   writable : bool;
 }
 
+(* Derived from the fields on first use and never recomputed: the
+   fields, segment bytes included, do not change after [make]. *)
+type memo = {
+  mutable digest : string option;
+  mutable index : (string, int) Hashtbl.t option;
+}
+
 type t = {
   name : string;
   segments : segment list;
@@ -20,10 +27,47 @@ type t = {
   entry : int; (* absolute address of the entry symbol; -1 if none *)
   symtab : (string * int) list; (* exported name -> absolute address *)
   reloc_work : int; (* relocations applied while building — cost input *)
+  memo : memo;
 }
 
+let make ~name ~segments ~bss_vaddr ~bss_size ~entry ~symtab ~reloc_work : t =
+  {
+    name;
+    segments;
+    bss_vaddr;
+    bss_size;
+    entry;
+    symtab;
+    reloc_work;
+    memo = { digest = None; index = None };
+  }
+
+(* the name is hashed, the symbol table is not: a renamed image keeps
+   the index and starts with an empty digest slot *)
+let with_name (img : t) (name : string) : t =
+  { img with name; memo = { digest = None; index = img.memo.index } }
+
 let find_symbol (img : t) (name : string) : int option =
-  List.assoc_opt name img.symtab
+  let index =
+    match img.memo.index with
+    | Some h -> h
+    | None ->
+        let h = Hashtbl.create (List.length img.symtab) in
+        List.iter
+          (fun (n, a) -> if not (Hashtbl.mem h n) then Hashtbl.add h n a)
+          img.symtab;
+        img.memo.index <- Some h;
+        h
+  in
+  Hashtbl.find_opt index name
+
+let rec find_symbol_in (imgs : t list) (name : string) : int option =
+  match imgs with
+  | [] -> None
+  | img :: rest -> (
+      match find_symbol img name with
+      | Some _ as a -> a
+      | None -> find_symbol_in rest name)
 
 (** Total bytes of initialized segments. *)
 let loaded_size (img : t) : int =
@@ -47,19 +91,34 @@ let extent (img : t) : int * int =
   let lo = if lo = max_int then 0 else lo in
   (lo, hi)
 
+let tm_digests = Telemetry.Counter.make "linker.image_digests"
+
 (** Content digest, stable across builds of identical images. Segment
     placement is part of the identity: the same library placed at a
-    different base is a different image. *)
+    different base is a different image. The bytes are hashed on the
+    first call only, from one exact-length copy of the input. *)
 let digest (img : t) : string =
-  let buf = Buffer.create (loaded_size img + 64) in
-  Buffer.add_string buf img.name;
-  List.iter
-    (fun s ->
-      Buffer.add_string buf (Printf.sprintf "|%s@%x:%b:" s.seg_name s.vaddr s.writable);
-      Buffer.add_bytes buf s.bytes)
-    img.segments;
-  Buffer.add_string buf (Printf.sprintf "|bss@%x+%x|e%x" img.bss_vaddr img.bss_size img.entry);
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  match img.memo.digest with
+  | Some d -> d
+  | None ->
+      (* [String.concat] reads the segment bytes once, into its result;
+         nothing writes them meanwhile *)
+      let input =
+        String.concat ""
+          ((img.name
+           :: List.concat_map
+                (fun s ->
+                  [
+                    Printf.sprintf "|%s@%x:%b:" s.seg_name s.vaddr s.writable;
+                    Bytes.unsafe_to_string s.bytes;
+                  ])
+                img.segments)
+          @ [ Printf.sprintf "|bss@%x+%x|e%x" img.bss_vaddr img.bss_size img.entry ])
+      in
+      let d = Digest.to_hex (Digest.string input) in
+      Telemetry.Counter.incr tm_digests;
+      img.memo.digest <- Some d;
+      d
 
 (** [load_into_flat img mem] copies all segments into a flat memory
     buffer at their virtual addresses and zeroes the bss — the
@@ -95,6 +154,18 @@ let encode (img : t) : Bytes.t =
   List.iter (fun (n, a) -> put_str n; put_u32 a) img.symtab;
   put_u32 img.reloc_work;
   Buffer.to_bytes buf
+
+(* [Bytes.length (encode img)]: the magic, each length-prefixed string,
+   and one u32 per number, as [encode] writes them *)
+let encoded_size (img : t) : int =
+  let str s = 4 + String.length s in
+  4 + str img.name + 4
+  + List.fold_left
+      (fun acc s -> acc + str s.seg_name + 12 + Bytes.length s.bytes)
+      0 img.segments
+  + 16
+  + List.fold_left (fun acc (n, _) -> acc + str n + 4) 0 img.symtab
+  + 4
 
 exception Decode_error of string
 
@@ -148,7 +219,7 @@ let decode (b : Bytes.t) : t =
            (n, a))
   in
   let reloc_work = get_u32 () in
-  { name; segments; bss_vaddr; bss_size; entry; symtab; reloc_work }
+  make ~name ~segments ~bss_vaddr ~bss_size ~entry ~symtab ~reloc_work
 
 let pp ppf (img : t) =
   Format.fprintf ppf "@[<v>image %s entry=0x%x reloc_work=%d@," img.name img.entry

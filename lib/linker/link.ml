@@ -146,16 +146,6 @@ let link ?entry ?(externals : Image.t list = []) ?(allow_undefined = false)
              ~via:
                (if binding = Sof.Symbol.Weak then "weak definition"
                 else "definition"));
-  (* external images: weaker than any fragment definition *)
-  let external_syms : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (img : Image.t) ->
-      List.iter
-        (fun (name, addr) ->
-          if not (Hashtbl.mem external_syms name) then
-            Hashtbl.replace external_syms name addr)
-        img.Image.symtab)
-    externals;
   (* combined sections *)
   let text = Bytes.make text_size '\000' in
   let data = Bytes.make data_size '\000' in
@@ -167,7 +157,7 @@ let link ?entry ?(externals : Image.t list = []) ?(allow_undefined = false)
         (Bytes.length p.frag.Sof.Object_file.data))
     placed;
   (* resolution: fragment-local defs first (covers locals), then
-     globals, then externals *)
+     globals, then the first external image that exports the name *)
   let resolve (p : placed) (name : string) : int option =
     let local =
       List.find_opt
@@ -179,7 +169,7 @@ let link ?entry ?(externals : Image.t list = []) ?(allow_undefined = false)
     | None -> (
         match Hashtbl.find_opt globals name with
         | Some (addr, _, _) -> Some addr
-        | None -> Hashtbl.find_opt external_syms name)
+        | None -> Image.find_symbol_in externals name)
   in
   let relocs_applied = ref 0 in
   let text_relocs = ref 0 and data_relocs = ref 0 in
@@ -201,12 +191,12 @@ let link ?entry ?(externals : Image.t list = []) ?(allow_undefined = false)
               | Sof.Reloc.In_text -> incr text_relocs
               | Sof.Reloc.In_data -> incr data_relocs);
               (* references satisfied by an already-positioned external
-                 image bind outside this link: journal them once *)
+                 image bind outside this link: journal them once. Not a
+                 local or global definition means an external one. *)
               if
                 prov
                 && (not (Hashtbl.mem globals r.symbol))
                 && (not (Hashtbl.mem ext_bound r.symbol))
-                && Hashtbl.mem external_syms r.symbol
                 && not
                      (List.exists
                         (fun (s : Sof.Symbol.t) ->
@@ -272,19 +262,14 @@ let link ?entry ?(externals : Image.t list = []) ?(allow_undefined = false)
     match frags with [] -> "<empty>" | f :: _ -> f.Sof.Object_file.name
   in
   let img =
-    {
-      Image.name = img_name;
-      segments =
+    Image.make ~name:img_name
+      ~segments:
         [
           { Image.seg_name = "text"; vaddr = text_base; bytes = text; writable = false };
           { Image.seg_name = "data"; vaddr = data_base; bytes = data; writable = true };
-        ];
-      bss_vaddr = bss_base;
-      bss_size;
-      entry = entry_addr;
-      symtab;
-      reloc_work = !relocs_applied;
-    }
+        ]
+      ~bss_vaddr:bss_base ~bss_size ~entry:entry_addr ~symtab
+      ~reloc_work:!relocs_applied
   in
   if prov then begin
     Telemetry.Provenance.record_reloc ~section:"text" ~count:!text_relocs;

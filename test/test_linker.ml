@@ -176,6 +176,119 @@ let test_image_extent_and_digest () =
   Alcotest.(check bool) "placement is identity" true
     (Linker.Image.digest img <> Linker.Image.digest img3)
 
+(* -- memoized digest, size and symbol index ------------------------------ *)
+
+let check_memo (img : Linker.Image.t) =
+  Alcotest.(check (list string))
+    (img.Linker.Image.name ^ " agrees with the references")
+    [] (Image_reference.mismatches img)
+
+let test_memo_world_libraries () =
+  let w = Omos.World.create () in
+  List.iter
+    (fun path ->
+      let b = Omos.Server.build w.Omos.World.server (Omos.Server.library path) in
+      check_memo b.Omos.Server.entry.Omos.Cache.image)
+    (List.sort_uniq compare (Omos.World.ls_libs @ Omos.World.codegen_libs))
+
+(* Table 1's programs (ls serves both ls and ls -laF) under the OMOS and
+   dynamic schemes: every image they put in the cache *)
+let test_memo_table1_programs () =
+  let w = Omos.World.create () in
+  let rt = w.Omos.World.rt in
+  List.iter
+    (fun (name, client, libs) ->
+      ignore (Omos.Schemes.self_contained_program rt ~name ~client ~libs ());
+      ignore (Omos.Schemes.dynamic_program rt ~name ~client ~libs))
+    [
+      ("ls", Omos.World.ls_client w, Omos.World.ls_libs);
+      ("codegen", Omos.World.codegen_client w, Omos.World.codegen_libs);
+    ];
+  let entries = Omos.Server.cache_entries w.Omos.World.server in
+  Alcotest.(check bool) "programs and libraries cached" true (List.length entries > 8);
+  List.iter (fun (e : Omos.Cache.entry) -> check_memo e.Omos.Cache.image) entries
+
+(* An image exporting [names], in that order, from one text fragment. *)
+let exporter ~name ~text_base (names : string list) : Linker.Image.t =
+  let a = Sof.Asm.create (name ^ ".o") in
+  List.iter
+    (fun n ->
+      Sof.Asm.label a n;
+      Sof.Asm.instr a Svm.Isa.Ret)
+    names;
+  fst
+    (Linker.Link.link
+       ~layout:{ Linker.Link.text_base; data_base = text_base + 0x8000 }
+       [ Sof.Asm.finish a ])
+
+(* A client holding one data word [ref_n] bound to each of [names]. *)
+let referrer (names : string list) : Sof.Object_file.t =
+  let a = Sof.Asm.create "client.o" in
+  List.iter
+    (fun n ->
+      Sof.Asm.data_label a ("ref_" ^ n);
+      Sof.Asm.data_word_sym a n)
+    names;
+  Sof.Asm.finish a
+
+(* The address the client's [ref_n] word was bound to. *)
+let bound (img : Linker.Image.t) (n : string) : int =
+  let seg = Option.get (Linker.Image.data_segment img) in
+  let addr = Option.get (Linker.Image.find_symbol img ("ref_" ^ n)) in
+  Int32.to_int (Bytes.get_int32_le seg.Linker.Image.bytes (addr - seg.Linker.Image.vaddr))
+
+let test_first_external_wins () =
+  let a = exporter ~name:"a" ~text_base:0x100000 [ "shared"; "only_a" ] in
+  let b = exporter ~name:"b" ~text_base:0x200000 [ "pad"; "shared"; "only_b" ] in
+  let addr img n = Option.get (Image_reference.find_symbol img n) in
+  let client externals =
+    fst
+      (Linker.Link.link ~layout ~externals
+         [ referrer [ "shared"; "only_a"; "only_b" ] ])
+  in
+  let ab = client [ a; b ] and ba = client [ b; a ] in
+  Alcotest.(check int) "a first: a's shared" (addr a "shared") (bound ab "shared");
+  Alcotest.(check int) "b first: b's shared" (addr b "shared") (bound ba "shared");
+  Alcotest.(check int) "only in a" (addr a "only_a") (bound ab "only_a");
+  Alcotest.(check int) "only in b" (addr b "only_b") (bound ab "only_b")
+
+(* Random links: two externals export random, overlapping subsets of a
+   name pool, and a client binds some of the names against them in
+   either order. Every image agrees with the references, and every
+   reference binds to the first external that exports its name. Images
+   whose symbol table repeats names are made directly. *)
+let prop_memo_random_links =
+  let pool = Array.init 10 (Printf.sprintf "s%d") in
+  let pick flags =
+    List.filteri (fun i _ -> List.nth_opt flags i = Some true) (Array.to_list pool)
+  in
+  QCheck.Test.make ~count:300 ~name:"memoized image derivations on random links"
+    QCheck.(quad (list_of_size Gen.(0 -- 10) bool) (list_of_size Gen.(0 -- 10) bool)
+              (list_of_size Gen.(0 -- 10) bool) bool)
+    (fun (fa, fb, fr, swap) ->
+      let sa = pick fa and sb = pick fb in
+      let a = exporter ~name:"a" ~text_base:0x100000 sa in
+      let b = exporter ~name:"b" ~text_base:0x200000 sb in
+      let externals = if swap then [ b; a ] else [ a; b ] in
+      let refs = List.filter (fun n -> List.mem n sa || List.mem n sb) (pick fr) in
+      let client, _ = Linker.Link.link ~layout ~externals [ referrer refs ] in
+      let dup =
+        Linker.Image.make ~name:"dup" ~segments:a.Linker.Image.segments
+          ~bss_vaddr:a.Linker.Image.bss_vaddr ~bss_size:a.Linker.Image.bss_size
+          ~entry:a.Linker.Image.entry
+          ~symtab:(List.rev_map (fun (n, v) -> (n, v + 4)) b.Linker.Image.symtab
+                   @ a.Linker.Image.symtab)
+          ~reloc_work:0
+      in
+      List.for_all (fun img -> Image_reference.mismatches img = []) [ a; b; client; dup ]
+      && List.for_all
+           (fun n ->
+             let first =
+               List.find_map (fun img -> Image_reference.find_symbol img n) externals
+             in
+             Some (bound client n) = first)
+           refs)
+
 (* -- combine (partial link) -------------------------------------------- *)
 
 let test_combine_then_link () =
@@ -284,6 +397,12 @@ let () =
           Alcotest.test_case "entry fallback" `Quick test_entry_fallback_to_main;
           Alcotest.test_case "extent and digest" `Quick test_image_extent_and_digest;
         ] );
+      ( "memo",
+        [
+          Alcotest.test_case "World libraries" `Quick test_memo_world_libraries;
+          Alcotest.test_case "Table 1 programs" `Quick test_memo_table1_programs;
+          Alcotest.test_case "first external wins" `Quick test_first_external_wins;
+        ] );
       ( "combine",
         [
           Alcotest.test_case "combine then link" `Quick test_combine_then_link;
@@ -291,5 +410,7 @@ let () =
           Alcotest.test_case "preserves ctors" `Quick test_combine_preserves_ctors;
           Alcotest.test_case "nesting" `Quick test_combine_is_associative_behaviour;
         ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest [ prop_layout_no_symbol_below_base ]);
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_layout_no_symbol_below_base; prop_memo_random_links ] );
     ]

@@ -327,6 +327,100 @@ let test_seeded_interleaving_reproducible () =
   in
   Alcotest.(check bool) "seed 42 twice: identical" true (run () = run ())
 
+(* -- images: hashed once, never changed --------------------------------- *)
+
+(* Table 1's programs under both schemes write into their private data
+   copies (lazy binding fills dispatch slots), and a dynamically loaded
+   class has a data word stored into. None of it may reach the bytes of
+   an image: every memoized digest still matches its bytes. *)
+let test_images_immutable_after_mapping () =
+  let w = Omos.World.create () in
+  let s = w.Omos.World.server and rt = w.Omos.World.rt in
+  let runs =
+    List.concat_map
+      (fun (name, client, libs, argss) ->
+        let omos = Omos.Schemes.self_contained_program rt ~name ~client ~libs () in
+        let dynamic = Omos.Schemes.dynamic_program rt ~name ~client ~libs in
+        List.concat_map (fun args -> [ (omos, args); (dynamic, args) ]) argss)
+      [
+        ( "ls",
+          Omos.World.ls_client w,
+          Omos.World.ls_libs,
+          [ Omos.World.ls_single_args; Omos.World.ls_laf_args ] );
+        ( "codegen",
+          Omos.World.codegen_client w,
+          Omos.World.codegen_libs,
+          [ Omos.World.codegen_args ] );
+      ]
+  in
+  let images () =
+    List.map (fun (e : Omos.Cache.entry) -> e.Omos.Cache.image) (Omos.Server.cache_entries s)
+  in
+  List.iter (fun img -> ignore (Linker.Image.digest img)) (images ());
+  List.iter
+    (fun (prog, args) ->
+      let code, _ = Omos.Schemes.invoke rt prog ~args in
+      Alcotest.(check int) (prog.Omos.Schemes.prog_name ^ " exits 0") 0 code)
+    runs;
+  let compile name src =
+    Omos.Server.add_fragment s name (Minic.Driver.compile ~name src)
+  in
+  compile "/obj/host.o" "int main() { return 0; }";
+  compile "/obj/class.o" "int counter = 5; int bump(int x) { return x + counter; }";
+  let host =
+    Omos.Server.build s
+      (Omos.Server.static ~name:"host"
+         (Blueprint.Mgraph.parse "(merge /lib/crt0.o /obj/host.o)"))
+  in
+  let dl = Omos.Dynload.create s in
+  let p = Omos.Boot.integrated_exec s (Omos.Server.loadable_entry [ host ]) ~args:[ "host" ] in
+  let bound =
+    Omos.Dynload.load dl p
+      ~client_images:[ host.Omos.Server.entry.Omos.Cache.image ]
+      ~graph:(Blueprint.Mgraph.parse "(merge /obj/class.o)")
+      ~symbols:[ "bump"; "counter" ]
+  in
+  Simos.Addr_space.store32 p.Simos.Proc.aspace (List.assoc "counter" bound) 99;
+  List.iter
+    (fun img ->
+      Alcotest.(check string)
+        (img.Linker.Image.name ^ ": memoized digest matches its bytes")
+        (Image_reference.digest img) (Linker.Image.digest img))
+    (images () @ Omos.Dynload.loaded dl p)
+
+(* Every real hash of image bytes counts in [linker.image_digests]. Once
+   libc and a client that names it in [externals] are warm, their hits
+   hash nothing. A rebuild after eviction hashes twice: the built image
+   keys the fresh response, and the cached (renamed) image keys the
+   next hit. *)
+let test_hits_hash_nothing () =
+  let s = fresh_world () in
+  Omos.Server.add_fragment s "/obj/memo_client.o"
+    (Minic.Driver.compile ~name:"/obj/memo_client.o"
+       "int main() { return strlen(\"memo\"); }");
+  let libc () = Omos.Server.instantiate s (Omos.Server.library "/lib/libc") in
+  let libc_img = (libc ()).Omos.Server.built.Omos.Server.entry.Omos.Cache.image in
+  let client () =
+    Omos.Server.instantiate s
+      (Omos.Server.static ~name:"memo_client" ~externals:[ libc_img ]
+         (Blueprint.Mgraph.parse "(merge /lib/crt0.o /obj/memo_client.o)"))
+  in
+  ignore (client ());
+  ignore (libc ());
+  ignore (client ());
+  let digests () = Telemetry.Counter.get "linker.image_digests" in
+  let d0 = digests () in
+  for _ = 1 to 100 do
+    Alcotest.(check bool) "libc hit" true (libc ()).Omos.Server.cache_hit;
+    Alcotest.(check bool) "client hit" true (client ()).Omos.Server.cache_hit
+  done;
+  Alcotest.(check int) "200 hits hash no image" 0 (digests () - d0);
+  ignore (Omos.Server.evict_to_budget s ~bytes:0);
+  let d1 = digests () in
+  Alcotest.(check bool) "libc rebuilt" false (libc ()).Omos.Server.cache_hit;
+  Alcotest.(check bool) "libc hit again" true (libc ()).Omos.Server.cache_hit;
+  Alcotest.(check int) "a rebuild and its first hit hash twice" 2 (digests () - d1)
+
 let () =
   Alcotest.run "pipeline"
     [
@@ -362,5 +456,11 @@ let () =
             test_concurrent_matches_serial;
           Alcotest.test_case "seeded interleaving" `Quick
             test_seeded_interleaving_reproducible;
+        ] );
+      ( "images",
+        [
+          Alcotest.test_case "immutable after mapping" `Quick
+            test_images_immutable_after_mapping;
+          Alcotest.test_case "hits hash nothing" `Quick test_hits_hash_nothing;
         ] );
     ]

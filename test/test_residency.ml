@@ -423,7 +423,7 @@ let sized_image owner pages dwords =
     Linker.Link.link ~layout:{ Linker.Link.text_base = 0x1000; data_base = 0x10000 }
       [ Sof.Asm.finish a ]
   in
-  { img with Linker.Image.name = owner }
+  Linker.Image.with_name img owner
 
 (* One generated entry: owner, text pages, data words, text and data
    base, residency (0-1 placed, 2 evicted, 3 static), and how much of
