@@ -1,15 +1,28 @@
-(** Subtree dependence analysis — see impact.mli for the contract.
+(** Subtree dependence analysis and the lint walk — see impact.mli for
+    the contract.
 
-    The walker below mirrors {!Lint.go_node} case for case: same
-    operand order, same flattening of [list] operands, same
-    mangling-id draw points (one per freeze, one per hide, one per
-    show victim — whatever {!Symflow} actually draws is measured by
-    sampling the counter around the subtree). Keeping the two
-    traversals in lock-step is what lets the lint differential
-    self-check vouch for the summaries computed here. *)
+    One abstract evaluator walks the m-graph exactly as
+    {!Blueprint.Mgraph.eval} would (same operand order, same flattening
+    of [list] operands, same mangling-id draw points). For each node it
+    computes the {!Symflow} flow, the constraint preferences, the
+    annotated {!info}, the names the subtree ever defined, and the
+    {!Lint} findings, emitted into one log in traversal order. A memo
+    entry keeps a subtree's findings next to its result, so a memoized
+    subtree answers lint as well as impact. *)
 
 module S = Symflow.S
 module Mg = Blueprint.Mgraph
+
+type severity = Error | Warning
+
+type finding = {
+  code : string;
+  title : string;
+  severity : severity;
+  path : string;
+  symbols : string list;
+  message : string;
+}
 
 type summary = {
   s_op : string;
@@ -33,17 +46,35 @@ type info = {
   i_children : info list;
 }
 
-type tree = { t_root : info; t_approximate : bool }
+type lint = {
+  l_path : string;
+  l_findings : finding list;
+  l_summary : summary;
+  l_prefs : Mg.constraint_pref list;
+  l_ever : S.t;
+  l_approximate : bool;
+  l_eval_fails : bool;
+}
 
-(* Walked subtrees by (i_path, content address). Only subtrees that are
-   modeled and draw no mangling id are entered: their result does not
-   depend on the gensym base, so one entry serves both replays, and the
-   path fixes the Name route (hence the cycle-detection set). *)
+type tree = { t_root : info; t_approximate : bool; t_lint : lint }
+
+(* What walking one node yields. *)
+type walked = {
+  w_flow : Symflow.t;
+  w_prefs : Mg.constraint_pref list;
+  w_info : info;
+  w_ever : S.t;  (* names defined anywhere in the subtree, at any node *)
+}
+
+(* Walked subtrees by (i_path, content address), each with the findings
+   its walk emitted. Only subtrees that are modeled and draw no
+   mangling id are entered: their result does not depend on the gensym
+   base, so one entry serves both replays, and the path fixes the Name
+   route (hence the cycle-detection set). *)
 type memo = {
   address : Mg.node -> string;
   binding : string -> string;
-  entries :
-    (string * string, Symflow.t * Mg.constraint_pref list * info) Hashtbl.t;
+  entries : (string * string, walked * finding list) Hashtbl.t;
   mutable last : info option; (* root of the last tree analyzed here *)
 }
 
@@ -54,11 +85,6 @@ let tm_nodes_walked = Telemetry.Counter.make "impact.nodes_walked"
 
 (* -- canonical rendering ---------------------------------------------------- *)
 
-let binding_str = function
-  | Sof.Symbol.Global -> "global"
-  | Sof.Symbol.Weak -> "weak"
-  | Sof.Symbol.Local -> "local"
-
 (* Exported (name, binding) pairs with multiplicity: duplicate globals
    must stay visible, they are part of the interface (a merge against
    them raises). *)
@@ -68,7 +94,8 @@ let export_pairs (m : Symflow.t) : (string * string) list =
       List.filter_map
         (fun (n, b) ->
           match b with
-          | Sof.Symbol.Global | Sof.Symbol.Weak -> Some (n, binding_str b)
+          | Sof.Symbol.Global -> Some (n, "global")
+          | Sof.Symbol.Weak -> Some (n, "weak")
           | Sof.Symbol.Local -> None)
         f.Symflow.f_defs)
     m.Symflow.frags
@@ -160,6 +187,18 @@ let node_digest ~(op : string) ~(content : string)
           :: String.concat "," children
           :: [ summary_key s ])))
 
+let empty_summary (op : string) : summary =
+  {
+    s_op = op;
+    s_exports = [];
+    s_undefined = [];
+    s_relocs = [];
+    s_frozen = [];
+    s_hidden = [];
+    s_prefs = [];
+    s_gensym = 0;
+  }
+
 (* A merge concatenates its operands' fragments, so its summary is the
    union of theirs, computed from the operands' sorted lists in linear
    time rather than from the whole flow: exports keep multiplicity, and
@@ -196,81 +235,223 @@ let merge_summary ~(gensym : int) (children : info list) : summary =
     s_gensym = gensym;
   }
 
-(* -- the walker ------------------------------------------------------------- *)
+(* -- walker state and findings ----------------------------------------------- *)
 
 type state = {
   resolve : string -> (Mg.node, string) result;
   gensym : int ref;
-  mutable visiting : string list;
+  mutable visiting : string list;  (* Name cycle detection *)
   memo : memo option;
+  mutable fresh_nodes : int;  (* nodes walked, memo hits excluded *)
+  mutable log : finding list;  (* findings emitted so far, newest first *)
+  mutable approximate : bool;
+  mutable crash : (exn * finding list) option;
+      (* the first exception the walk met, and the log at that moment *)
 }
+
+let emit (st : state) ~code ~title ~severity ~path ?(symbols = []) message :
+    unit =
+  st.log <- { code; title; severity; path; symbols; message } :: st.log
+
+(* An error finding: evaluation of the graph would raise. Only these
+   are Error-severity inside the walk, so they decide [eval_fails]. *)
+let fails (st : state) ~code ~title ~path ?symbols message : unit =
+  emit st ~code ~title ~severity:Error ~path ?symbols message
+
+let is_error (f : finding) = f.severity = Error
+
+(* The findings emitted since the log was [log0], oldest first. *)
+let findings_since (st : state) (log0 : finding list) : finding list =
+  let rec go acc l =
+    if l == log0 then acc
+    else match l with f :: rest -> go (f :: acc) rest | [] -> acc
+  in
+  go [] st.log
 
 let draw (st : state) () : int =
   incr st.gensym;
   !(st.gensym)
 
+(* Child-path addressing: unary children extend the dotted path;
+   positional operands index the parent segment. *)
 let child (path : string) ?idx (n : Mg.node) : string =
   let parent =
     match idx with None -> path | Some i -> Printf.sprintf "%s[%d]" path i
   in
   parent ^ "." ^ Mg.op_name n
 
+(* Lst operands flatten into the surrounding merge, as in eval. *)
 let rec flatten (ns : Mg.node list) : Mg.node list =
   List.concat_map (function Mg.Lst xs -> flatten xs | n -> [ n ]) ns
 
-(* A selector or rewrite template the operator can apply; [None] means
-   the operator is a no-op for the flow (mirrors lint's E006 path). *)
-let compile_sel (pattern : string) : Jigsaw.Select.t option =
+(* A selector that failed to compile: report E006 once and treat the
+   operator as a no-op so analysis can continue. *)
+let compile_sel (st : state) ~path (pattern : string) : Jigsaw.Select.t option
+    =
   match Jigsaw.Select.compile_res pattern with
   | Ok sel -> Some sel
-  | Error _ -> None
+  | Error msg ->
+      fails st ~code:"E006" ~title:"invalid-selector" ~path
+        (Printf.sprintf "selector %S does not compile: %s" pattern msg);
+      None
 
-let guarded_map (bad : bool ref) (map : string -> string option) :
-    string -> string option =
+(* A rewrite map whose template may fail to apply ([\1] without a
+   group): report E006 on first failure (recorded in [bad]), then
+   behave as non-matching. *)
+let guarded_map (st : state) ~path ~(pattern : string) ~(template : string)
+    (bad : bool ref) (map : string -> string option) : string -> string option
+    =
  fun n ->
   try map n
-  with _ ->
-    bad := true;
+  with e ->
+    if not !bad then begin
+      bad := true;
+      fails st ~code:"E006" ~title:"invalid-selector" ~path
+        (Printf.sprintf "template %S does not apply to %S (%s)" template
+           pattern (Printexc.to_string e))
+    end;
     None
 
-(* Kept in sync with {!Lint}'s specializer model. *)
-let known_specializers =
+(* Sorted (name, binding) pairs grouped by name: (name, globals, weaks). *)
+let rec runs = function
+  | [] -> []
+  | (n, _) :: _ as l ->
+      let rec count g w = function
+        | (n', b) :: rest when String.equal n' n ->
+            if String.equal b "global" then count (g + 1) w rest
+            else count g (w + 1) rest
+        | rest -> (n, g, w) :: runs rest
+      in
+      count 0 0 l
+
+(* The E002/W104 checks of a merge of two or more operands, linear in
+   the operands' sorted exports. A name is a fresh duplicate (E002)
+   when the merge holds two globals of it and no operand alone does:
+   an operand's own duplicates were reported below it. A weak
+   definition is shadowed (W104) when the merge also holds a global of
+   the name and another operand exports it. The merged exports give
+   the candidates; only they are tallied per operand. *)
+let check_merge (st : state) ~path (children : info list)
+    (exports : (string * string) list) (m : Symflow.t) : unit =
+  let merged = runs exports in
+  let dups = List.filter_map (fun (n, g, _) -> if g >= 2 then Some n else None) merged
+  and shadows =
+    List.filter_map (fun (n, g, w) -> if g >= 1 && w >= 1 then Some n else None) merged
+  in
+  if dups <> [] || shadows <> [] then begin
+    (* candidate -> (operands exporting it, most globals in one operand) *)
+    let tally = Hashtbl.create 8 in
+    List.iter (fun n -> Hashtbl.replace tally n (0, 0)) (dups @ shadows);
+    List.iter
+      (fun c ->
+        List.iter
+          (fun (n, g, _) ->
+            match Hashtbl.find_opt tally n with
+            | Some (k, most) -> Hashtbl.replace tally n (k + 1, max most g)
+            | None -> ())
+          (runs c.i_summary.s_exports))
+      children;
+    let fresh = List.filter (fun n -> snd (Hashtbl.find tally n) < 2) dups in
+    if fresh <> [] then begin
+      let n1, s1, s2 =
+        List.find
+          (fun (n, _, _) -> List.mem n fresh)
+          (Symflow.duplicate_globals m.Symflow.frags)
+      in
+      fails st ~code:"E002" ~title:"duplicate-global-in-merge" ~path
+        ~symbols:fresh
+        (Printf.sprintf "duplicate global definition of %s (in %s and %s)" n1
+           s1 s2)
+    end;
+    match List.filter (fun n -> fst (Hashtbl.find tally n) >= 2) shadows with
+    | [] -> ()
+    | shadowed ->
+        emit st ~code:"W104" ~title:"shadowed-weak-definition"
+          ~severity:Warning ~path ~symbols:shadowed
+          "weak definition permanently shadowed by a global definition of \
+           the same name"
+  end
+
+(* Globals created by a defs-side rewrite that now collide (E003): names
+   whose global multiplicity grew to >= 2. *)
+let check_rename_collision (st : state) ~path ~(op : string)
+    (before : Symflow.t) (after : Symflow.t) : unit =
+  let dups m =
+    List.filter_map
+      (fun (n, g, _) -> if g >= 2 then Some (n, g) else None)
+      (runs (export_pairs m))
+  in
+  let was = dups before in
+  match
+    List.filter_map
+      (fun (n, g) ->
+        match List.assoc_opt n was with
+        | Some g0 when g0 >= g -> None
+        | _ -> Some n)
+      (dups after)
+  with
+  | [] -> ()
+  | names ->
+      fails st ~code:"E003" ~title:"rename-collision" ~path ~symbols:names
+        (Printf.sprintf
+           "%s mints a global definition name that collides with another" op)
+
+(* A freeze/hide/show whose selection is live mints gensym-numbered
+   aliases into the exported namespace: the subtree's interface digest
+   moves with the global mangling base, so incremental relinking can
+   never reuse it (W105). *)
+let warn_unstable (st : state) ~path ~(op : string) (minted_for : string list)
+    : unit =
+  emit st ~code:"W105" ~title:"unstable-subtree" ~severity:Warning ~path
+    ~symbols:(List.sort_uniq compare minted_for)
+    (Printf.sprintf
+       "%s mints mangling-dependent aliases into the exported namespace; \
+        the subtree's interface depends on gensym ordering and can never \
+        be reused by incremental relinking"
+       op)
+
+let constrain_prefs (seg : Mg.seg) (addr : int) : Mg.constraint_pref list =
   [
-    "lib-constrained"; "lib-static"; "identity"; "lib-dynamic";
-    "lib-dynamic-impl"; "monitor";
+    { Mg.seg; priority = 6; pref = Constraints.Placement.At addr };
+    { Mg.seg; priority = 3; pref = Constraints.Placement.Near addr };
   ]
 
-let unmodeled_specializers = [ "lib-dynamic"; "monitor" ]
+(* -- the walker ------------------------------------------------------------- *)
 
-(* Walk one node. Returns the symbol flow and prefs (the operator
-   semantics, identical to lint's) plus the annotated info whose
-   [i_stable] is provisionally [i_modeled] — the dual-base zip below
-   replaces it with the replay-invariance verdict. A memo hit returns
-   the earlier walk's result as is. *)
-let rec walk (st : state) (path : string) (n : Mg.node) :
-    Symflow.t * Mg.constraint_pref list * info =
+(* Walk one node. Returns the symbol flow, prefs and ever-defined names
+   plus the annotated info whose [i_stable] is provisionally
+   [i_modeled] — the dual-base zip below replaces it with the
+   replay-invariance verdict. A memo hit returns the earlier walk's
+   result as is and replays its findings into the log. *)
+let rec walk (st : state) (path : string) (n : Mg.node) : walked =
   let addr = match st.memo with Some mm -> mm.address n | None -> "" in
   walk_at st path addr n
 
 and walk_at (st : state) (path : string) (addr : string) (n : Mg.node) :
-    Symflow.t * Mg.constraint_pref list * info =
+    walked =
   match
     match st.memo with
     | Some mm -> Hashtbl.find_opt mm.entries (path, addr)
     | None -> None
   with
-  | Some hit -> hit
+  | Some (w, findings) ->
+      st.log <- List.rev_append findings st.log;
+      w
   | None -> walk_fresh st path addr n
 
 and walk_fresh (st : state) (path : string) (addr : string) (n : Mg.node) :
-    Symflow.t * Mg.constraint_pref list * info =
-  Telemetry.Counter.incr tm_nodes_walked;
-  let g0 = !(st.gensym) in
-  let m, prefs, children, ok = step st path n in
+    walked =
+  st.fresh_nodes <- st.fresh_nodes + 1;
+  let g0 = !(st.gensym) and log0 = st.log in
+  let m, prefs, kids, ok = step st path n in
   let consumed = !(st.gensym) - g0 in
+  let children = List.map (fun k -> k.w_info) kids in
   let summary =
     match (n, children) with
-    | Mg.Merge _, _ :: _ -> merge_summary ~gensym:consumed children
+    | Mg.Merge _, _ :: more ->
+        let s = merge_summary ~gensym:consumed children in
+        if more <> [] then check_merge st ~path children s.s_exports m;
+        s
     | _ ->
         {
           s_op = Mg.op_name n;
@@ -283,191 +464,248 @@ and walk_fresh (st : state) (path : string) (addr : string) (n : Mg.node) :
           s_gensym = consumed;
         }
   in
-  let modeled =
-    ok && List.for_all (fun c -> c.i_modeled) children
-  in
+  let modeled = ok && List.for_all (fun c -> c.i_modeled) children in
   let digest =
     node_digest ~op:(op_digest_key n) ~content:(content_key n)
       ~children:(List.map (fun c -> c.i_digest) children)
       summary
   in
-  let r =
-    ( m,
-      prefs,
-      {
-        i_path = path;
-        i_addr = addr;
-        i_node = n;
-        i_summary = summary;
-        i_digest = digest;
-        i_modeled = modeled;
-        i_stable = modeled;
-        i_children = children;
-      } )
+  let ever = List.fold_left (fun acc k -> S.union acc k.w_ever) S.empty kids in
+  let w =
+    {
+      w_flow = m;
+      w_prefs = prefs;
+      w_info =
+        {
+          i_path = path;
+          i_addr = addr;
+          i_node = n;
+          i_summary = summary;
+          i_digest = digest;
+          i_modeled = modeled;
+          i_stable = modeled;
+          i_children = children;
+        };
+      (* a merge's or a name's definitions are its operands' *)
+      w_ever =
+        (match n with
+        | Mg.Merge _ | Mg.Name _ -> ever
+        | _ -> S.union ever (S.of_list (Symflow.defined_any m)));
+    }
   in
   (match st.memo with
   | Some mm when modeled && consumed = 0 ->
-      Hashtbl.replace mm.entries (path, addr) r
+      Hashtbl.replace mm.entries (path, addr) (w, findings_since st log0)
   | _ -> ());
-  r
+  w
 
+(* One operator: the flow, prefs and walked children it yields, and
+   whether its own semantics are fully modeled. *)
 and step (st : state) (path : string) (n : Mg.node) :
-    Symflow.t * Mg.constraint_pref list * info list * bool =
+    Symflow.t * Mg.constraint_pref list * walked list * bool =
+  (* a unary operator over its operand [x] *)
+  let unary x f =
+    let k = walk st (child path x) x in
+    let m, ok = f k.w_flow in
+    (m, k.w_prefs, [ k ], ok)
+  in
+  (* a unary operator whose selector [p] must compile *)
+  let selecting p x f =
+    unary x (fun mx ->
+        match compile_sel st ~path p with
+        | None -> (mx, false)
+        | Some sel -> f sel mx)
+  in
   match n with
   | Mg.Leaf o -> (Symflow.of_object o, [], [], true)
-  | Mg.Name p ->
-      if List.mem p st.visiting then (Symflow.empty, [], [], false)
-      else begin
+  | Mg.Name p -> (
+      if List.mem p st.visiting then begin
+        fails st ~code:"E005" ~title:"unknown-server-object" ~path
+          ~symbols:[ p ]
+          (Printf.sprintf "cyclic meta-object reference through %s" p);
+        (Symflow.empty, [], [], false)
+      end
+      else
         match st.resolve p with
-        | Error _ -> (Symflow.empty, [], [], false)
+        | Error msg ->
+            fails st ~code:"E005" ~title:"unknown-server-object" ~path
+              ~symbols:[ p ] msg;
+            (Symflow.empty, [], [], false)
         | Ok sub ->
             st.visiting <- p :: st.visiting;
             let addr =
               match st.memo with Some mm -> mm.binding p | None -> ""
             in
-            let m, prefs, i = walk_at st path addr sub in
+            let k = walk_at st path addr sub in
             st.visiting <- List.tl st.visiting;
-            (m, prefs, [ i ], true)
-      end
+            (k.w_flow, k.w_prefs, [ k ], true))
   | Mg.Merge operands -> (
       match flatten operands with
-      | [] -> (Symflow.empty, [], [], false)
+      | [] ->
+          fails st ~code:"E008" ~title:"malformed-graph" ~path
+            "merge: no operands";
+          (Symflow.empty, [], [], false)
       | flat ->
-          let rs =
-            List.mapi (fun i x -> walk st (child path ~idx:i x) x) flat
-          in
-          let parts = List.map (fun (m, _, _) -> m) rs in
+          let kids = List.mapi (fun i x -> walk st (child path ~idx:i x) x) flat in
           let m =
-            match parts with
-            | p :: rest -> List.fold_left Symflow.merge p rest
+            match kids with
+            | k :: rest ->
+                List.fold_left (fun acc k -> Symflow.merge acc k.w_flow) k.w_flow rest
             | [] -> assert false
           in
-          ( m,
-            List.concat_map (fun (_, p, _) -> p) rs,
-            List.map (fun (_, _, i) -> i) rs,
-            true ))
+          (m, List.concat_map (fun k -> k.w_prefs) kids, kids, true))
   | Mg.Override (a, b) ->
-      let ma, pa, ia = walk st (child path ~idx:0 a) a in
-      let mb, pb, ib = walk st (child path ~idx:1 b) b in
-      let b_exports = Symflow.exports mb in
-      let a' = Symflow.restrict (fun n -> List.mem n b_exports) ma in
-      (Symflow.merge a' mb, pa @ pb, [ ia; ib ], true)
-  | Mg.Freeze (p, x) -> (
-      let mx, px, ix = walk st (child path x) x in
-      match compile_sel p with
-      | None -> (mx, px, [ ix ], false)
-      | Some sel ->
-          ( Symflow.freeze ~gensym:(draw st) (Jigsaw.Select.matches sel) mx,
-            px,
-            [ ix ],
-            true ))
-  | Mg.Restrict (p, x) -> (
-      let mx, px, ix = walk st (child path x) x in
-      match compile_sel p with
-      | None -> (mx, px, [ ix ], false)
-      | Some sel -> (Symflow.restrict (Jigsaw.Select.matches sel) mx, px, [ ix ], true))
-  | Mg.Project (p, x) -> (
-      let mx, px, ix = walk st (child path x) x in
-      match compile_sel p with
-      | None -> (mx, px, [ ix ], false)
-      | Some sel -> (Symflow.project (Jigsaw.Select.matches sel) mx, px, [ ix ], true))
-  | Mg.Copy_as (p, template, x) -> (
-      let mx, px, ix = walk st (child path x) x in
-      match compile_sel p with
-      | None -> (mx, px, [ ix ], false)
-      | Some sel ->
+      let ka = walk st (child path ~idx:0 a) a in
+      let kb = walk st (child path ~idx:1 b) b in
+      let a_exports = S.of_list (Symflow.exports ka.w_flow) in
+      if not (List.exists (fun n -> S.mem n a_exports) (Symflow.exports kb.w_flow))
+      then
+        emit st ~code:"W102" ~title:"override-overrides-nothing"
+          ~severity:Warning ~path
+          "the right operand exports nothing the left operand defines; \
+           override replaces no binding";
+      (* no E002/W104 here: the left operand loses every definition of
+         a name the right one exports, so no name is defined global or
+         weak on both sides *)
+      ( Symflow.override ka.w_flow kb.w_flow,
+        ka.w_prefs @ kb.w_prefs,
+        [ ka; kb ],
+        true )
+  | Mg.Freeze (p, x) ->
+      selecting p x (fun sel mx ->
+          let selected = Jigsaw.Select.selected sel (Symflow.exports mx) in
+          let refrozen =
+            List.filter (fun n -> S.mem n mx.Symflow.frozen) selected
+          in
+          if refrozen <> [] then
+            emit st ~code:"W103" ~title:"freeze-of-already-frozen"
+              ~severity:Warning ~path ~symbols:refrozen
+              "these bindings are already permanent; refreezing mints a \
+               useless extra alias";
+          if selected <> [] then warn_unstable st ~path ~op:"freeze" selected;
+          (Symflow.freeze ~gensym:(draw st) (Jigsaw.Select.matches sel) mx, true))
+  | Mg.Restrict (p, x) ->
+      selecting p x (fun sel mx ->
+          let pred = Jigsaw.Select.matches sel in
+          if Symflow.touched pred mx = [] then
+            emit st ~code:"W101" ~title:"dead-restrict" ~severity:Warning ~path
+              (Printf.sprintf
+                 "selector %S matches no definition; restrict has no effect" p);
+          (Symflow.restrict pred mx, true))
+  | Mg.Project (p, x) ->
+      selecting p x (fun sel mx ->
+          let pred = Jigsaw.Select.matches sel in
+          if Symflow.touched (fun n -> not (pred n)) mx = [] then
+            emit st ~code:"W101" ~title:"dead-project" ~severity:Warning ~path
+              (Printf.sprintf
+                 "selector %S matches every definition; project has no effect"
+                 p);
+          (Symflow.project pred mx, true))
+  | Mg.Copy_as (p, template, x) ->
+      selecting p x (fun sel mx ->
           let bad = ref false in
-          let map = guarded_map bad (Jigsaw.Select.rewrite sel template) in
+          let map =
+            guarded_map st ~path ~pattern:p ~template bad
+              (Jigsaw.Select.rewrite sel template)
+          in
           let m' = Symflow.copy_as map mx in
-          (m', px, [ ix ], not !bad))
-  | Mg.Hide (p, x) -> (
-      let mx, px, ix = walk st (child path x) x in
-      match compile_sel p with
-      | None -> (mx, px, [ ix ], false)
-      | Some sel ->
-          ( Symflow.hide ~gensym:(draw st) (Jigsaw.Select.matches sel) mx,
-            px,
-            [ ix ],
-            true ))
-  | Mg.Show (p, x) -> (
-      let mx, px, ix = walk st (child path x) x in
-      match compile_sel p with
-      | None -> (mx, px, [ ix ], false)
-      | Some sel ->
-          ( Symflow.show ~gensym:(draw st) (Jigsaw.Select.matches sel) mx,
-            px,
-            [ ix ],
-            true ))
-  | Mg.Rename (scope, p, template, x) -> (
-      let mx, px, ix = walk st (child path x) x in
-      match compile_sel p with
-      | None -> (mx, px, [ ix ], false)
-      | Some sel ->
+          check_rename_collision st ~path ~op:"copy-as" mx m';
+          (m', not !bad))
+  | Mg.Hide (p, x) ->
+      selecting p x (fun sel mx ->
+          let pred = Jigsaw.Select.matches sel in
+          (match List.filter pred (Symflow.exports mx) with
+          | [] ->
+              emit st ~code:"W101" ~title:"dead-hide" ~severity:Warning ~path
+                (Printf.sprintf
+                   "selector %S matches no export; hide has no effect" p)
+          | hidden -> warn_unstable st ~path ~op:"hide" hidden);
+          (Symflow.hide ~gensym:(draw st) pred mx, true))
+  | Mg.Show (p, x) ->
+      selecting p x (fun sel mx ->
+          let pred = Jigsaw.Select.matches sel in
+          let victims =
+            List.filter (fun n -> not (pred n)) (Symflow.exports mx)
+          in
+          if victims = [] then
+            emit st ~code:"W101" ~title:"dead-show" ~severity:Warning ~path
+              (Printf.sprintf
+                 "selector %S matches every export; show has no effect" p)
+          else warn_unstable st ~path ~op:"show" victims;
+          (Symflow.show ~gensym:(draw st) pred mx, true))
+  | Mg.Rename (scope, p, template, x) ->
+      selecting p x (fun sel mx ->
           let bad = ref false in
-          let map = guarded_map bad (Jigsaw.Select.rewrite sel template) in
+          let map =
+            guarded_map st ~path ~pattern:p ~template bad
+              (Jigsaw.Select.rewrite sel template)
+          in
           let m' = Symflow.rename scope map mx in
-          (m', px, [ ix ], not !bad))
-  | Mg.Initializers x ->
-      let mx, px, ix = walk st (child path x) x in
-      (Symflow.initializers mx, px, [ ix ], true)
+          if scope <> Jigsaw.Module_ops.Refs_only then
+            check_rename_collision st ~path ~op:"rename" mx m';
+          (m', not !bad))
+  | Mg.Initializers x -> unary x (fun mx -> (Symflow.initializers mx, true))
   | Mg.Source (lang, text) -> (
       match lang with
       | "c" | "C" -> (
           match Minic.Driver.compile ~name:"(source)" text with
           | o -> (Symflow.of_object o, [], [], true)
-          | exception _ -> (Symflow.empty, [], [], false))
-      | _ -> (Symflow.empty, [], [], false))
+          | exception Minic.Driver.Compile_error msg ->
+              fails st ~code:"E007" ~title:"source-compile-error" ~path
+                (Printf.sprintf "source: %s" msg);
+              (Symflow.empty, [], [], false)
+          | exception e ->
+              (* lint stops here (E999); the impact walk goes on with
+                 the node unmodeled *)
+              if st.crash = None then st.crash <- Some (e, st.log);
+              (Symflow.empty, [], [], false))
+      | other ->
+          fails st ~code:"E007" ~title:"source-compile-error" ~path
+            (Printf.sprintf "source: unsupported language %S" other);
+          (Symflow.empty, [], [], false))
   | Mg.Specialize (style, args, x) -> (
-      let mx, px, ix = walk st (child path x) x in
       match style with
-      | "lib-constrained" -> (
+      | "lib-constrained" ->
           let flat =
-            List.concat_map
-              (function Mg.Vlist vs -> vs | v -> [ v ])
-              args
+            List.concat_map (function Mg.Vlist vs -> vs | v -> [ v ]) args
           in
           let rec pairs = function
             | Mg.Vstr seg :: Mg.Vnum addr :: rest -> (
                 match Mg.seg_of_string seg with
-                | s ->
-                    Option.map
-                      (fun tail ->
-                        {
-                          Mg.seg = s;
-                          priority = 6;
-                          pref = Constraints.Placement.At addr;
-                        }
-                        :: {
-                             Mg.seg = s;
-                             priority = 3;
-                             pref = Constraints.Placement.Near addr;
-                           }
-                        :: tail)
-                      (pairs rest)
-                | exception Mg.Eval_error _ -> None)
+                | s -> Option.map (fun tail -> constrain_prefs s addr @ tail) (pairs rest)
+                | exception Mg.Eval_error msg ->
+                    fails st ~code:"E008" ~title:"malformed-graph" ~path msg;
+                    None)
             | [] -> Some []
-            | _ -> None
+            | _ ->
+                fails st ~code:"E008" ~title:"malformed-graph" ~path
+                  "lib-constrained: expected alternating segment/address \
+                   arguments";
+                None
           in
-          match pairs flat with
-          | Some ps -> (mx, ps @ px, [ ix ], true)
-          | None -> (mx, px, [ ix ], false))
-      | "lib-static" | "identity" | "lib-dynamic-impl" -> (mx, px, [ ix ], true)
-      | _ when List.mem style unmodeled_specializers ->
+          let k = walk st (child path x) x in
+          (match pairs flat with
+          | Some ps -> (k.w_flow, ps @ k.w_prefs, [ k ], true)
+          | None -> (k.w_flow, k.w_prefs, [ k ], false))
+      | "lib-static" | "identity" | "lib-dynamic-impl" -> unary x (fun mx -> (mx, true))
+      | "lib-dynamic" | "monitor" ->
           (* stub generation / wrapper interposition rewrite the module
-             in ways only evaluation can see: the summary describes the
-             operand only, so reuse cannot be proven *)
-          (mx, px, [ ix ], false)
-      | _ when List.mem style known_specializers -> (mx, px, [ ix ], true)
-      | _ -> (mx, px, [ ix ], false))
+             in ways only evaluation can see: keep the operand's flow,
+             mark the report approximate, and never prove reuse *)
+          st.approximate <- true;
+          unary x (fun mx -> (mx, false))
+      | other ->
+          (* reported before the operand's findings *)
+          fails st ~code:"E008" ~title:"malformed-graph" ~path
+            (Printf.sprintf "unknown specialization %S" other);
+          unary x (fun mx -> (mx, false)))
   | Mg.Constrain (seg, addr, x) ->
-      let mx, px, ix = walk st (child path x) x in
-      ( mx,
-        { Mg.seg; priority = 6; pref = Constraints.Placement.At addr }
-        :: { Mg.seg; priority = 3; pref = Constraints.Placement.Near addr }
-        :: px,
-        [ ix ],
-        true )
-  | Mg.Lst _ -> (Symflow.empty, [], [], false)
+      let k = walk st (child path x) x in
+      (k.w_flow, constrain_prefs seg addr @ k.w_prefs, [ k ], true)
+  | Mg.Lst _ ->
+      fails st ~code:"E008" ~title:"malformed-graph" ~path
+        "list is only meaningful as an operand of another operation";
+      (Symflow.empty, [], [], false)
 
 (* -- entry points ------------------------------------------------------------ *)
 
@@ -476,29 +714,67 @@ let fallback_info (root : Mg.node) : info =
     i_path = Mg.op_name root;
     i_addr = "";
     i_node = root;
-    i_summary =
-      {
-        s_op = Mg.op_name root;
-        s_exports = [];
-        s_undefined = [];
-        s_relocs = [];
-        s_frozen = [];
-        s_hidden = [];
-        s_prefs = [];
-        s_gensym = 0;
-      };
+    i_summary = empty_summary (Mg.op_name root);
     i_digest = "(analysis-error)";
     i_modeled = false;
     i_stable = false;
     i_children = [];
   }
 
-let run_once ?memo ~resolve ~(gensym_base : int) (root : Mg.node) :
-    info option =
-  let st = { resolve; gensym = ref gensym_base; visiting = []; memo } in
-  match walk st (Mg.op_name root) root with
-  | _, _, i -> Some i
-  | exception _ -> None
+(* One walk of [root] from [gensym_base]: the walked root or what the
+   walk raised, and the state it left. *)
+let run ?memo ~resolve ~(gensym_base : int) (root : Mg.node) :
+    state * (walked, exn) result =
+  let st =
+    {
+      resolve;
+      gensym = ref gensym_base;
+      visiting = [];
+      memo;
+      fresh_nodes = 0;
+      log = [];
+      approximate = false;
+      crash = None;
+    }
+  in
+  (st, match walk st (Mg.op_name root) root with w -> Ok w | exception e -> Error e)
+
+(* What lint reads of a walk. The analyzer must never take down
+   registration or the CLI: if the walk met an exception, the findings
+   up to it are kept and an E999 closes them. *)
+let lint_of ((st, r) : state * (walked, exn) result) (root : Mg.node) : lint =
+  let path = Mg.op_name root in
+  let crashed e log =
+    let eval_fails = List.exists is_error log in
+    st.log <- log;
+    emit st ~code:"E999" ~title:"analyzer-internal-error" ~severity:Error ~path
+      (Printexc.to_string e);
+    {
+      l_path = path;
+      l_findings = List.rev st.log;
+      l_summary = empty_summary path;
+      l_prefs = [];
+      l_ever = S.empty;
+      l_approximate = true;
+      l_eval_fails = eval_fails;
+    }
+  in
+  match (st.crash, r) with
+  | Some (e, log), _ -> crashed e log
+  | None, Error e -> crashed e st.log
+  | None, Ok w ->
+      {
+        l_path = path;
+        l_findings = List.rev st.log;
+        l_summary = w.w_info.i_summary;
+        l_prefs = w.w_prefs;
+        l_ever = w.w_ever;
+        l_approximate = st.approximate;
+        l_eval_fails = List.exists is_error st.log;
+      }
+
+let lint ~resolve ~(gensym_base : int) (root : Mg.node) : lint =
+  lint_of (run ~resolve ~gensym_base root) root
 
 let rec force_unstable (i : info) : info =
   {
@@ -560,14 +836,16 @@ let analyze ?(memo : memo option) ~(resolve : string -> (Mg.node, string) result
     (root : Mg.node) : tree =
   let failed = ref false in
   let replay base =
-    match run_once ?memo ~resolve ~gensym_base:base root with
-    | Some i -> i
-    | None ->
+    let ((st, r) as run0) = run ?memo ~resolve ~gensym_base:base root in
+    Telemetry.Counter.incr ~by:st.fresh_nodes tm_nodes_walked;
+    match r with
+    | Ok w -> (w.w_info, run0)
+    | Error _ ->
         failed := true;
-        fallback_info root
+        (fallback_info root, run0)
   in
-  let r0 = replay 0 in
-  let r1 = replay 1_000_003 in
+  let r0, run0 = replay 0 in
+  let r1, _ = replay 1_000_003 in
   let t_root =
     try zip r0 r1
     with Invalid_argument _ ->
@@ -587,7 +865,7 @@ let analyze ?(memo : memo option) ~(resolve : string -> (Mg.node, string) result
         changes
           ~removed:(fun i ->
             match Hashtbl.find_opt mm.entries (i.i_path, i.i_addr) with
-            | Some (_, _, i') when i' == i ->
+            | Some (w, _) when w.w_info == i ->
                 Hashtbl.remove mm.entries (i.i_path, i.i_addr)
             | _ -> ())
           ~added:ignore mm.last (Some t_root);
@@ -595,7 +873,7 @@ let analyze ?(memo : memo option) ~(resolve : string -> (Mg.node, string) result
       end)
     memo;
   (* [i_modeled] holds for a node iff it holds for its whole subtree *)
-  { t_root; t_approximate = not t_root.i_modeled }
+  { t_root; t_approximate = not t_root.i_modeled; t_lint = lint_of run0 root }
 
 (* -- diff -------------------------------------------------------------------- *)
 
@@ -641,46 +919,29 @@ let summary_reason (so : summary) (sn : summary) : string option =
   if not (String.equal so.s_op sn.s_op) then
     Some (Printf.sprintf "operator changed: %s -> %s" so.s_op sn.s_op)
   else
-    match
-      if so.s_exports = sn.s_exports then None
-      else first_list_diff ~what:"export" (exports so) (exports sn)
-    with
-    | Some r -> Some r
-    | None -> (
-        match
+    List.find_map
+      (fun reason -> reason ())
+      [
+        (fun () ->
+          if so.s_exports = sn.s_exports then None
+          else first_list_diff ~what:"export" (exports so) (exports sn));
+        (fun () ->
           first_list_diff ~what:"undefined reference" so.s_undefined
-            sn.s_undefined
-        with
-        | Some r -> Some r
-        | None -> (
-            match
-              first_list_diff ~what:"relocation target" so.s_relocs sn.s_relocs
-            with
-            | Some r -> Some r
-            | None -> (
-                match
-                  first_list_diff ~what:"frozen binding" so.s_frozen sn.s_frozen
-                with
-                | Some r -> Some r
-                | None -> (
-                    match
-                      first_list_diff ~what:"hidden name" so.s_hidden
-                        sn.s_hidden
-                    with
-                    | Some r -> Some r
-                    | None -> (
-                        match
-                          first_list_diff ~what:"constraint preference"
-                            so.s_prefs sn.s_prefs
-                        with
-                        | Some r -> Some r
-                        | None ->
-                            if so.s_gensym <> sn.s_gensym then
-                              Some
-                                (Printf.sprintf
-                                   "mangling-id consumption changed: %d -> %d"
-                                   so.s_gensym sn.s_gensym)
-                            else None)))))
+            sn.s_undefined);
+        (fun () ->
+          first_list_diff ~what:"relocation target" so.s_relocs sn.s_relocs);
+        (fun () ->
+          first_list_diff ~what:"frozen binding" so.s_frozen sn.s_frozen);
+        (fun () -> first_list_diff ~what:"hidden name" so.s_hidden sn.s_hidden);
+        (fun () ->
+          first_list_diff ~what:"constraint preference" so.s_prefs sn.s_prefs);
+        (fun () ->
+          if so.s_gensym = sn.s_gensym then None
+          else
+            Some
+              (Printf.sprintf "mangling-id consumption changed: %d -> %d"
+                 so.s_gensym sn.s_gensym));
+      ]
 
 let respin_reason (old_opt : info option) (ni : info) : string =
   if not ni.i_modeled then
@@ -707,29 +968,22 @@ let diff ~(old_tree : tree) ~(new_tree : tree) : diff =
   let respun = ref 0 in
   let spine = ref [] in
   let rec go (old_opt : info option) (ni : info) : unit =
-    if ni.i_stable && Hashtbl.mem old_stable ni.i_digest then begin
-      incr reused;
-      nodes :=
-        {
-          v_path = ni.i_path;
-          v_op = ni.i_summary.s_op;
-          v_digest = ni.i_digest;
-          v_verdict = Reused { digest = ni.i_digest };
-        }
-        :: !nodes
-      (* pruned: nothing below a reused subtree needs a verdict *)
-    end
+    let reuse = ni.i_stable && Hashtbl.mem old_stable ni.i_digest in
+    nodes :=
+      {
+        v_path = ni.i_path;
+        v_op = ni.i_summary.s_op;
+        v_digest = ni.i_digest;
+        v_verdict =
+          (if reuse then Reused { digest = ni.i_digest }
+           else Respin { reason = respin_reason old_opt ni });
+      }
+      :: !nodes;
+    (* pruned: nothing below a reused subtree needs a verdict *)
+    if reuse then incr reused
     else begin
       incr respun;
       spine := ni.i_path :: !spine;
-      nodes :=
-        {
-          v_path = ni.i_path;
-          v_op = ni.i_summary.s_op;
-          v_digest = ni.i_digest;
-          v_verdict = Respin { reason = respin_reason old_opt ni };
-        }
-        :: !nodes;
       let old_children =
         match old_opt with Some o -> o.i_children | None -> []
       in
@@ -756,13 +1010,11 @@ type verify_outcome = {
 }
 
 let find_by_digest (t : tree) (dg : string) : info option =
-  let found = ref None in
-  iter_infos
-    (fun i ->
-      if Option.is_none !found && String.equal i.i_digest dg then
-        found := Some i)
-    t;
-  !found
+  let rec go i =
+    if String.equal i.i_digest dg then Some i
+    else List.find_map go i.i_children
+  in
+  go t.t_root
 
 let verify ~(eval : Mg.node -> Jigsaw.Module_ops.t) ~(old_tree : tree)
     ~(new_tree : tree) (d : diff) : verify_outcome =

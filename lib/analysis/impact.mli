@@ -1,6 +1,6 @@
 (** Subtree dependence analysis: content-addressed interface summaries
     over m-graphs, and the reuse/respin verdicts that make incremental
-    relinking sound.
+    relinking sound. The same walk also carries {!Lint}'s diagnostics.
 
     Built on {!Symflow}: per operator node the analyzer computes a
     canonical {e interface summary} — exports with binding and
@@ -29,10 +29,22 @@
     interface fact as a human-readable reason. Verdicts are pre-order
     and pruned: below a reused node nothing needs a verdict.
 
-    Like {!Lint}, the analyzer materializes no view and charges nothing
-    to the simulated clock. *)
+    The walker materializes no view and charges nothing to the
+    simulated clock. *)
 
 module Mg := Blueprint.Mgraph
+
+type severity = Error | Warning
+
+(** One lint diagnostic; {!Lint} documents the codes. *)
+type finding = {
+  code : string;  (** stable code, e.g. ["E002"] *)
+  title : string;  (** stable slug, e.g. ["duplicate-global-in-merge"] *)
+  severity : severity;
+  path : string;  (** m-graph path, e.g. ["constrain.rename.override[1]"] *)
+  symbols : string list;  (** offending symbols, sorted *)
+  message : string;
+}
 
 (** Canonical interface summary of one subtree. All lists are in
     canonical (sorted) order except [s_exports], which keeps
@@ -72,22 +84,39 @@ type info = {
   i_children : info list;
 }
 
+(** What {!Lint} reads of one walk from the root: everything but the
+    root checks. If the walk met an exception, [l_findings] holds the
+    findings up to it followed by an [E999] analyzer-internal-error,
+    the summary and prefs are empty, and [l_approximate] is set. *)
+type lint = {
+  l_path : string;  (** the root's path *)
+  l_findings : finding list;  (** emission order *)
+  l_summary : summary;  (** the root's interface summary *)
+  l_prefs : Mg.constraint_pref list;  (** accumulated, evaluation order *)
+  l_ever : Symflow.S.t;  (** names some node of the graph defined *)
+  l_approximate : bool;  (** an unmodeled specializer was walked *)
+  l_eval_fails : bool;  (** some finding implies evaluation raises *)
+}
+
 type tree = {
   t_root : info;
   t_approximate : bool;
       (** some node could not be modeled precisely; those nodes (and
           their ancestors) are marked unstable *)
+  t_lint : lint;  (** the lint of the replay from gensym base 0 *)
 }
 
 (** A subtree memo, so that re-analyzing an edited graph walks only
     what the edit changed. Entries are keyed by (i_path, content
     address) and hold the walker's result for a subtree that is fully
-    modeled and draws no mangling id: such a result does not depend on
-    the gensym base, so one entry serves both replays, and the path
-    fixes the [Name] route, hence the cycle-detection set. The memo is
-    bounded to the tree last analyzed through it. [address] gives a
-    node's content address, [binding] the address of the graph a [Name]
-    path resolves to; the caller keeps both consistent with [resolve]. *)
+    modeled and draws no mangling id, with the findings its walk
+    emitted: such a result does not depend on the gensym base, so one
+    entry serves both replays and the lint as well, and the path fixes
+    the [Name] route, hence the cycle-detection set, and keeps the
+    findings' paths absolute. The memo is bounded to the tree last
+    analyzed through it. [address] gives a node's content address,
+    [binding] the address of the graph a [Name] path resolves to; the
+    caller keeps both consistent with [resolve]. *)
 type memo
 
 val create_memo :
@@ -104,6 +133,14 @@ val analyze :
   resolve:(string -> (Mg.node, string) result) ->
   Mg.node ->
   tree
+
+(** One walk from [gensym_base], no memo, no dual replay, nothing
+    counted: the lint half of {!analyze} alone. Never raises. *)
+val lint :
+  resolve:(string -> (Mg.node, string) result) ->
+  gensym_base:int ->
+  Mg.node ->
+  lint
 
 (** [changes ~removed ~added old_root new_root] visits the nodes of the
     old tree that the new one does not share ([removed]) and the nodes

@@ -1,60 +1,20 @@
-(** Blueprint lint: diagnostics over the symbol-flow lattice.
-
-    An abstract interpretation of an m-graph that walks the node tree
-    exactly as {!Blueprint.Mgraph.eval} would (same operand order, same
-    mangling-id sequence) but computes on {!Symflow} name sets instead
-    of materializing views — so it is safe to run at meta-object
-    registration time, costs nothing on the simulated clock, and can
-    diagnose graphs whose evaluation would raise.
-
-    Stable diagnostic codes:
-
-    - [E001] unresolved-at-root — a reference that some fragment once
-      defined is undefined in the final module (an operator removed or
-      renamed the definition away). Plain external imports (never
-      defined anywhere in the graph) are reported in the summary, not
-      as findings.
-    - [E002] duplicate-global-in-merge — two global definitions of the
-      same name meet in a [merge]/[override]; evaluation raises.
-    - [E003] rename-collision — a [rename]/[copy-as] mints a global
-      definition name that now collides with another.
-    - [E004] conflicting-address-constraints — distinct base addresses
-      preferred for the same segment at equal priority.
-    - [E005] unknown-server-object — a [Name] that does not resolve, or
-      resolves cyclically.
-    - [E006] invalid-selector — a selector pattern or rewrite template
-      [Str] cannot compile or apply.
-    - [E007] source-compile-error — a [source] node's text does not
-      compile (or names an unsupported language).
-    - [E008] malformed-graph — structural misuse ([list] outside an
-      operand position, bad specializer arguments, unknown
-      specialization style, empty [merge]).
-    - [W101] dead-selector — a [restrict]/[hide]/[show]/[project] whose
-      selector gives the operator nothing to do.
-    - [W102] override-overrides-nothing — the right operand exports
-      nothing the left operand defines.
-    - [W103] freeze-of-already-frozen — freezing symbols whose bindings
-      are already permanent (mints a useless extra alias).
-    - [W104] shadowed-weak-definition — a weak definition permanently
-      shadowed by a global one in a [merge].
-    - [W105] unstable-subtree — a live [freeze]/[hide]/[show] mints
-      [n$frzI]/[n$hidI] aliases into the exported namespace, so the
-      node's interface summary depends on the global mangling-id
-      sequence: {!Impact} can never prove such a subtree reusable. *)
+(** Blueprint lint: the findings of an {!Impact} walk over the
+    symbol-flow lattice, plus the root checks below. lint.mli documents
+    the walk's guarantees and the diagnostic codes. *)
 
 module S = Symflow.S
 module Mg = Blueprint.Mgraph
 
-type severity = Error | Warning
+type severity = Impact.severity = Error | Warning
 
 let severity_to_string = function Error -> "error" | Warning -> "warning"
 
-type finding = {
-  code : string;  (** stable code, e.g. ["E002"] *)
-  title : string;  (** stable slug, e.g. ["duplicate-global-in-merge"] *)
+type finding = Impact.finding = {
+  code : string;
+  title : string;
   severity : severity;
-  path : string;  (** m-graph path, e.g. ["constrain.rename.override[1]"] *)
-  symbols : string list;  (** offending symbols, sorted *)
+  path : string;
+  symbols : string list;
   message : string;
 }
 
@@ -83,482 +43,81 @@ let finding_to_string (f : finding) : string =
     | [] -> ""
     | syms -> " [" ^ String.concat ", " syms ^ "]")
 
-(* -- driver state ----------------------------------------------------------- *)
-
-type state = {
-  resolve : string -> (Mg.node, string) result;
-  gensym : int ref;
-  mutable findings : finding list;  (* newest first *)
-  mutable ever_defined : S.t;  (* names defined anywhere, at any point *)
-  mutable visiting : string list;  (* Name cycle detection *)
-  mutable approximate : bool;
-  mutable eval_fails : bool;
-}
-
-let emit (st : state) ~code ~title ~severity ~path ?(symbols = []) message :
-    unit =
-  st.findings <-
-    { code; title; severity; path; symbols; message } :: st.findings
-
-let fails (st : state) ~code ~title ~path ?symbols message : unit =
-  st.eval_fails <- true;
-  emit st ~code ~title ~severity:Error ~path ?symbols message
-
-let draw (st : state) () : int =
-  incr st.gensym;
-  !(st.gensym)
-
-(* Child-path addressing: unary children extend the dotted path;
-   positional operands index the parent segment. *)
-let child (path : string) ?idx (n : Mg.node) : string =
-  let parent =
-    match idx with None -> path | Some i -> Printf.sprintf "%s[%d]" path i
-  in
-  parent ^ "." ^ Mg.op_name n
-
-(* A selector that failed to compile: report E006 once and treat the
-   operator as a no-op so analysis can continue. *)
-let compile_sel (st : state) ~path (pattern : string) : Jigsaw.Select.t option
-    =
-  match Jigsaw.Select.compile_res pattern with
-  | Ok sel -> Some sel
-  | Error msg ->
-      fails st ~code:"E006" ~title:"invalid-selector" ~path
-        (Printf.sprintf "selector %S does not compile: %s" pattern msg);
-      None
-
-(* A rewrite map whose template may fail to apply ([\1] without a
-   group): report E006 on first failure, then behave as non-matching. *)
-let guarded_map (st : state) ~path ~(pattern : string) ~(template : string)
-    (map : string -> string option) : string -> string option =
-  let reported = ref false in
-  fun n ->
-    try map n
-    with e ->
-      if not !reported then begin
-        reported := true;
-        fails st ~code:"E006" ~title:"invalid-selector" ~path
-          (Printf.sprintf "template %S does not apply to %S (%s)" template
-             pattern (Printexc.to_string e))
-      end;
-      None
-
-(* Duplicate-global names within a single module (what its own merge
-   nodes already reported), used to report only dups a node creates. *)
-let own_dup_names (m : Symflow.t) : S.t =
-  S.of_list
-    (List.map (fun (n, _, _) -> n) (Symflow.duplicate_globals m.Symflow.frags))
-
-let check_merge_conflicts (st : state) ~path (parts : Symflow.t list)
-    (result : Symflow.t) : unit =
-  let inherited =
-    List.fold_left (fun acc p -> S.union acc (own_dup_names p)) S.empty parts
-  in
-  let fresh =
-    List.filter
-      (fun (n, _, _) -> not (S.mem n inherited))
-      (Symflow.duplicate_globals result.Symflow.frags)
-  in
-  (match fresh with
-  | [] -> ()
-  | dups ->
-      let names = List.sort_uniq compare (List.map (fun (n, _, _) -> n) dups) in
-      let n1, s1, s2 = List.hd dups in
-      fails st ~code:"E002" ~title:"duplicate-global-in-merge" ~path
-        ~symbols:names
-        (Printf.sprintf "duplicate global definition of %s (in %s and %s)" n1
-           s1 s2));
-  (* weak definitions shadowed across operands of this node *)
-  let shadowed =
-    let rec fold acc = function
-      | [] -> []
-      | p :: rest -> Symflow.weak_shadowed acc p @ fold (Symflow.merge acc p) rest
-    in
-    match parts with [] -> [] | p :: rest -> fold p rest
-  in
-  match List.sort_uniq compare shadowed with
-  | [] -> ()
-  | names ->
-      emit st ~code:"W104" ~title:"shadowed-weak-definition" ~severity:Warning
-        ~path ~symbols:names
-        "weak definition permanently shadowed by a global definition of the \
-         same name"
-
-(* Globals created by a defs-side rewrite that now collide (E003): names
-   whose global multiplicity grew to >= 2. *)
-let check_rename_collision (st : state) ~path ~(op : string)
-    (before : Symflow.t) (after : Symflow.t) : unit =
-  let counts (m : Symflow.t) : (string, int) Hashtbl.t =
-    let h = Hashtbl.create 32 in
-    List.iter
-      (fun f ->
-        List.iter
-          (fun n ->
-            Hashtbl.replace h n (1 + Option.value (Hashtbl.find_opt h n) ~default:0))
-          (Symflow.frag_globals f))
-      m.Symflow.frags;
-    h
-  in
-  let cb = counts before and ca = counts after in
-  let collisions =
-    Hashtbl.fold
-      (fun n c acc ->
-        let was = Option.value (Hashtbl.find_opt cb n) ~default:0 in
-        if c >= 2 && c > was then n :: acc else acc)
-      ca []
-  in
-  match List.sort_uniq compare collisions with
-  | [] -> ()
-  | names ->
-      fails st ~code:"E003" ~title:"rename-collision" ~path ~symbols:names
-        (Printf.sprintf
-           "%s mints a global definition name that collides with another" op)
-
-(* A freeze/hide/show whose selection is live mints gensym-numbered
-   aliases into the exported namespace: the subtree's interface digest
-   moves with the global mangling base, so incremental relinking can
-   never reuse it (W105). *)
-let warn_unstable (st : state) ~path ~(op : string) (minted_for : string list)
-    : unit =
-  emit st ~code:"W105" ~title:"unstable-subtree" ~severity:Warning ~path
-    ~symbols:(List.sort_uniq compare minted_for)
-    (Printf.sprintf
-       "%s mints mangling-dependent aliases into the exported namespace; \
-        the subtree's interface depends on gensym ordering and can never \
-        be reused by incremental relinking"
-       op)
-
-let known_specializers =
-  [
-    "lib-constrained"; "lib-static"; "identity"; "lib-dynamic";
-    "lib-dynamic-impl"; "monitor";
-  ]
-
-let unmodeled_specializers = [ "lib-dynamic"; "monitor" ]
-
-(* -- the abstract evaluator ------------------------------------------------- *)
-
-let rec go (st : state) (path : string) (n : Mg.node) :
-    Symflow.t * Mg.constraint_pref list =
-  let m, prefs = go_node st path n in
-  st.ever_defined <-
-    S.union st.ever_defined (S.of_list (Symflow.defined_any m));
-  (m, prefs)
-
-and go_node (st : state) (path : string) (n : Mg.node) :
-    Symflow.t * Mg.constraint_pref list =
-  match n with
-  | Mg.Leaf o -> (Symflow.of_object o, [])
-  | Mg.Name p ->
-      if List.mem p st.visiting then begin
-        fails st ~code:"E005" ~title:"unknown-server-object" ~path
-          ~symbols:[ p ]
-          (Printf.sprintf "cyclic meta-object reference through %s" p);
-        (Symflow.empty, [])
-      end
-      else begin
-        match st.resolve p with
-        | Error msg ->
-            fails st ~code:"E005" ~title:"unknown-server-object" ~path
-              ~symbols:[ p ] msg;
-            (Symflow.empty, [])
-        | Ok sub ->
-            st.visiting <- p :: st.visiting;
-            let r = go st path sub in
-            st.visiting <- List.tl st.visiting;
-            r
-      end
-  | Mg.Merge operands -> (
-      match flatten st operands with
-      | [] ->
-          fails st ~code:"E008" ~title:"malformed-graph" ~path
-            "merge: no operands";
-          (Symflow.empty, [])
-      | flat ->
-          let rs =
-            List.mapi (fun i x -> go st (child path ~idx:i x) x) flat
-          in
-          let parts = List.map fst rs in
-          let m =
-            match parts with
-            | [ m ] -> m
-            | p :: rest -> List.fold_left Symflow.merge p rest
-            | [] -> assert false
-          in
-          if List.length parts > 1 then
-            check_merge_conflicts st ~path parts m;
-          (m, List.concat_map snd rs))
-  | Mg.Override (a, b) ->
-      let ma, pa = go st (child path ~idx:0 a) a in
-      let mb, pb = go st (child path ~idx:1 b) b in
-      let a_exports = S.of_list (Symflow.exports ma) in
-      let b_exports = Symflow.exports mb in
-      if not (List.exists (fun n -> S.mem n a_exports) b_exports) then
-        emit st ~code:"W102" ~title:"override-overrides-nothing"
-          ~severity:Warning ~path
-          "the right operand exports nothing the left operand defines; \
-           override replaces no binding";
-      let a' =
-        Symflow.restrict (fun n -> List.mem n b_exports) ma
-      in
-      let m = Symflow.merge a' mb in
-      check_merge_conflicts st ~path [ a'; mb ] m;
-      (m, pa @ pb)
-  | Mg.Freeze (p, x) -> (
-      let mx, px = go st (child path x) x in
-      match compile_sel st ~path p with
-      | None -> (mx, px)
-      | Some sel ->
-          let selected = Jigsaw.Select.selected sel (Symflow.exports mx) in
-          let refrozen =
-            List.filter (fun n -> S.mem n mx.Symflow.frozen) selected
-          in
-          if refrozen <> [] then
-            emit st ~code:"W103" ~title:"freeze-of-already-frozen"
-              ~severity:Warning ~path ~symbols:refrozen
-              "these bindings are already permanent; refreezing mints a \
-               useless extra alias";
-          if selected <> [] then warn_unstable st ~path ~op:"freeze" selected;
-          (Symflow.freeze ~gensym:(draw st) (Jigsaw.Select.matches sel) mx, px))
-  | Mg.Restrict (p, x) -> (
-      let mx, px = go st (child path x) x in
-      match compile_sel st ~path p with
-      | None -> (mx, px)
-      | Some sel ->
-          let pred = Jigsaw.Select.matches sel in
-          if Symflow.touched pred mx = [] then
-            emit st ~code:"W101" ~title:"dead-restrict" ~severity:Warning ~path
-              (Printf.sprintf
-                 "selector %S matches no definition; restrict has no effect" p);
-          (Symflow.restrict pred mx, px))
-  | Mg.Project (p, x) -> (
-      let mx, px = go st (child path x) x in
-      match compile_sel st ~path p with
-      | None -> (mx, px)
-      | Some sel ->
-          let pred = Jigsaw.Select.matches sel in
-          if Symflow.touched (fun n -> not (pred n)) mx = [] then
-            emit st ~code:"W101" ~title:"dead-project" ~severity:Warning ~path
-              (Printf.sprintf
-                 "selector %S matches every definition; project has no effect"
-                 p);
-          (Symflow.project pred mx, px))
-  | Mg.Copy_as (p, template, x) -> (
-      let mx, px = go st (child path x) x in
-      match compile_sel st ~path p with
-      | None -> (mx, px)
-      | Some sel ->
-          let map =
-            guarded_map st ~path ~pattern:p ~template
-              (Jigsaw.Select.rewrite sel template)
-          in
-          let m' = Symflow.copy_as map mx in
-          check_rename_collision st ~path ~op:"copy-as" mx m';
-          (m', px))
-  | Mg.Hide (p, x) -> (
-      let mx, px = go st (child path x) x in
-      match compile_sel st ~path p with
-      | None -> (mx, px)
-      | Some sel ->
-          let pred = Jigsaw.Select.matches sel in
-          (match List.filter pred (Symflow.exports mx) with
-          | [] ->
-              emit st ~code:"W101" ~title:"dead-hide" ~severity:Warning ~path
-                (Printf.sprintf
-                   "selector %S matches no export; hide has no effect" p)
-          | hidden -> warn_unstable st ~path ~op:"hide" hidden);
-          (Symflow.hide ~gensym:(draw st) pred mx, px))
-  | Mg.Show (p, x) -> (
-      let mx, px = go st (child path x) x in
-      match compile_sel st ~path p with
-      | None -> (mx, px)
-      | Some sel ->
-          let pred = Jigsaw.Select.matches sel in
-          let victims =
-            List.filter (fun n -> not (pred n)) (Symflow.exports mx)
-          in
-          if victims = [] then
-            emit st ~code:"W101" ~title:"dead-show" ~severity:Warning ~path
-              (Printf.sprintf
-                 "selector %S matches every export; show has no effect" p)
-          else warn_unstable st ~path ~op:"show" victims;
-          (Symflow.show ~gensym:(draw st) pred mx, px))
-  | Mg.Rename (scope, p, template, x) -> (
-      let mx, px = go st (child path x) x in
-      match compile_sel st ~path p with
-      | None -> (mx, px)
-      | Some sel ->
-          let map =
-            guarded_map st ~path ~pattern:p ~template
-              (Jigsaw.Select.rewrite sel template)
-          in
-          let m' = Symflow.rename scope map mx in
-          if scope <> Jigsaw.Module_ops.Refs_only then
-            check_rename_collision st ~path ~op:"rename" mx m';
-          (m', px))
-  | Mg.Initializers x ->
-      let mx, px = go st (child path x) x in
-      (Symflow.initializers mx, px)
-  | Mg.Source (lang, text) -> (
-      match lang with
-      | "c" | "C" -> (
-          match Minic.Driver.compile ~name:"(source)" text with
-          | o -> (Symflow.of_object o, [])
-          | exception Minic.Driver.Compile_error msg ->
-              fails st ~code:"E007" ~title:"source-compile-error" ~path
-                (Printf.sprintf "source: %s" msg);
-              (Symflow.empty, []))
-      | other ->
-          fails st ~code:"E007" ~title:"source-compile-error" ~path
-            (Printf.sprintf "source: unsupported language %S" other);
-          (Symflow.empty, []))
-  | Mg.Specialize (style, args, x) -> (
-      match style with
-      | "lib-constrained" -> (
-          let mx, px = go st (child path x) x in
-          let flat =
-            List.concat_map
-              (function Mg.Vlist vs -> vs | v -> [ v ])
-              args
-          in
-          let rec pairs = function
-            | Mg.Vstr seg :: Mg.Vnum addr :: rest -> (
-                match Mg.seg_of_string seg with
-                | s ->
-                    Option.map
-                      (fun tail ->
-                        { Mg.seg = s; priority = 6;
-                          pref = Constraints.Placement.At addr }
-                        :: { Mg.seg = s; priority = 3;
-                             pref = Constraints.Placement.Near addr }
-                        :: tail)
-                      (pairs rest)
-                | exception Mg.Eval_error msg ->
-                    fails st ~code:"E008" ~title:"malformed-graph" ~path msg;
-                    None)
-            | [] -> Some []
-            | _ ->
-                fails st ~code:"E008" ~title:"malformed-graph" ~path
-                  "lib-constrained: expected alternating segment/address \
-                   arguments";
-                None
-          in
-          match pairs flat with
-          | Some ps -> (mx, ps @ px)
-          | None -> (mx, px))
-      | "lib-static" | "identity" | "lib-dynamic-impl" ->
-          go st (child path x) x
-      | _ when List.mem style unmodeled_specializers ->
-          (* stub generation / wrapper interposition rewrite the module
-             in ways only evaluation can see; keep the operand's flow
-             and mark the report approximate *)
-          st.approximate <- true;
-          go st (child path x) x
-      | _ when List.mem style known_specializers -> go st (child path x) x
-      | other ->
-          fails st ~code:"E008" ~title:"malformed-graph" ~path
-            (Printf.sprintf "unknown specialization %S" other);
-          go st (child path x) x)
-  | Mg.Constrain (seg, addr, x) ->
-      let mx, px = go st (child path x) x in
-      ( mx,
-        { Mg.seg; priority = 6; pref = Constraints.Placement.At addr }
-        :: { Mg.seg; priority = 3; pref = Constraints.Placement.Near addr }
-        :: px )
-  | Mg.Lst _ ->
-      fails st ~code:"E008" ~title:"malformed-graph" ~path
-        "list is only meaningful as an operand of another operation";
-      (Symflow.empty, [])
-
-(* Lst operands flatten into the surrounding merge, as in eval. *)
-and flatten (st : state) (ns : Mg.node list) : Mg.node list =
-  List.concat_map
-    (function Mg.Lst xs -> flatten st xs | n -> [ n ])
-    ns
-
 (* -- root checks ------------------------------------------------------------ *)
 
 let seg_name = function Mg.Seg_text -> "T" | Mg.Seg_data -> "D"
 
-let check_constraints (st : state) ~path (prefs : Mg.constraint_pref list) :
-    unit =
-  (* distinct At addresses for the same segment at equal priority *)
-  let tbl : (string * int, int list) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (c : Mg.constraint_pref) ->
-      match c.pref with
-      | Constraints.Placement.At addr ->
-          let k = (seg_name c.seg, c.priority) in
-          let prev = Option.value (Hashtbl.find_opt tbl k) ~default:[] in
-          if not (List.mem addr prev) then Hashtbl.replace tbl k (addr :: prev)
-      | _ -> ())
-    prefs;
-  let conflicts =
-    Hashtbl.fold
-      (fun (seg, prio) addrs acc ->
-        if List.length addrs >= 2 then (seg, prio, List.rev addrs) :: acc
-        else acc)
-      tbl []
-    |> List.sort compare
-  in
-  List.iter
-    (fun (seg, prio, addrs) ->
-      emit st ~code:"E004" ~title:"conflicting-address-constraints"
-        ~severity:Error ~path
-        (Printf.sprintf
-           "segment %s prefers %d distinct base addresses at priority %d (%s)"
-           seg (List.length addrs) prio
-           (String.concat ", "
-              (List.map (Printf.sprintf "0x%x") addrs))))
-    conflicts
+let root_error ~code ~title ~path ?(symbols = []) message : finding =
+  { code; title; severity = Error; path; symbols; message }
 
-let check_unresolved (st : state) ~path (m : Symflow.t) : unit =
-  let lost =
-    List.filter (fun n -> S.mem n st.ever_defined) (Symflow.undefined m)
+let check_constraints ~path (prefs : Mg.constraint_pref list) : finding list =
+  (* distinct At addresses for the same segment at equal priority, in
+     the order they are first preferred *)
+  let ats =
+    List.filter_map
+      (fun (c : Mg.constraint_pref) ->
+        match c.pref with
+        | Constraints.Placement.At addr -> Some ((seg_name c.seg, c.priority), addr)
+        | _ -> None)
+      prefs
   in
-  if lost <> [] then
-    emit st ~code:"E001" ~title:"unresolved-at-root" ~severity:Error ~path
-      ~symbols:lost
-      "referenced but undefined at the root, though a definition existed in \
-       the graph before operators removed or renamed it"
+  List.filter_map
+    (fun ((seg, prio) as k) ->
+      let addrs =
+        List.fold_left
+          (fun acc (k', a) -> if k' = k && not (List.mem a acc) then a :: acc else acc)
+          [] ats
+        |> List.rev
+      in
+      if List.length addrs < 2 then None
+      else
+        Some
+          (root_error ~code:"E004" ~title:"conflicting-address-constraints" ~path
+             (Printf.sprintf
+                "segment %s prefers %d distinct base addresses at priority %d (%s)"
+                seg (List.length addrs) prio
+                (String.concat ", " (List.map (Printf.sprintf "0x%x") addrs)))))
+    (List.sort_uniq compare (List.map fst ats))
+
+let check_unresolved ~path ~(ever_defined : S.t) (undefined : string list) :
+    finding list =
+  match List.filter (fun n -> S.mem n ever_defined) undefined with
+  | [] -> []
+  | lost ->
+      [
+        root_error ~code:"E001" ~title:"unresolved-at-root" ~path ~symbols:lost
+          "referenced but undefined at the root, though a definition existed \
+           in the graph before operators removed or renamed it";
+      ]
 
 (* -- entry points ------------------------------------------------------------ *)
 
+let of_walk (l : Impact.lint) : report =
+  let s = l.Impact.l_summary in
+  let path = l.Impact.l_path in
+  (* the summary's exports are sorted pairs; names repeat adjacently *)
+  let rec names = function
+    | (a, _) :: ((b, _) :: _ as rest) when String.equal a b -> names rest
+    | (a, _) :: rest -> a :: names rest
+    | [] -> []
+  in
+  {
+    findings =
+      l.Impact.l_findings
+      @ check_unresolved ~path ~ever_defined:l.Impact.l_ever s.Impact.s_undefined
+      @ check_constraints ~path l.Impact.l_prefs;
+    exports = names s.Impact.s_exports;
+    undefined = s.Impact.s_undefined;
+    frozen = s.Impact.s_frozen;
+    hidden = s.Impact.s_hidden;
+    prefs = l.Impact.l_prefs;
+    approximate = l.Impact.l_approximate;
+    eval_fails = l.Impact.l_eval_fails;
+  }
+
 let analyze ~(resolve : string -> (Mg.node, string) result)
     ?(gensym_base = 0) (root : Mg.node) : report =
-  let st =
-    {
-      resolve;
-      gensym = ref gensym_base;
-      findings = [];
-      ever_defined = S.empty;
-      visiting = [];
-      approximate = false;
-      eval_fails = false;
-    }
-  in
-  let root_path = Mg.op_name root in
-  let m, prefs =
-    try go st root_path root
-    with e ->
-      (* the analyzer must never take down registration or the CLI *)
-      st.approximate <- true;
-      emit st ~code:"E999" ~title:"analyzer-internal-error" ~severity:Error
-        ~path:root_path (Printexc.to_string e);
-      (Symflow.empty, [])
-  in
-  check_unresolved st ~path:root_path m;
-  check_constraints st ~path:root_path prefs;
-  {
-    findings = List.rev st.findings;
-    exports = Symflow.exports m;
-    undefined = Symflow.undefined m;
-    frozen = S.elements m.Symflow.frozen;
-    hidden = S.elements m.Symflow.hidden;
-    prefs;
-    approximate = st.approximate;
-    eval_fails = st.eval_fails;
-  }
+  of_walk (Impact.lint ~resolve ~gensym_base root)
 
 let analyze_meta ~(resolve : string -> (Mg.node, string) result)
     ?(spec : (string * Mg.value list) option = None) ?gensym_base
@@ -589,24 +148,19 @@ let verify_against ~(eval : Mg.node -> Mg.result)
     (report, Skipped "unmodeled specialization; predicted sets are approximate")
   else
     match eval root with
+    | exception e -> (report, Eval_raised (Printexc.to_string e))
     | r ->
-        let actual_exports = Jigsaw.Module_ops.exports r.Mg.m in
-        let actual_undef = Jigsaw.Module_ops.undefined r.Mg.m in
-        if report.exports <> actual_exports then
-          ( report,
-            Mismatch
-              { field = "exports"; predicted = report.exports;
-                actual = actual_exports } )
-        else if report.undefined <> actual_undef then
-          ( report,
-            Mismatch
-              { field = "undefined"; predicted = report.undefined;
-                actual = actual_undef } )
+        let mismatch field predicted actual =
+          (report, Mismatch { field; predicted; actual })
+        in
+        let exports = Jigsaw.Module_ops.exports r.Mg.m in
+        let undefined = Jigsaw.Module_ops.undefined r.Mg.m in
+        if report.exports <> exports then
+          mismatch "exports" report.exports exports
+        else if report.undefined <> undefined then
+          mismatch "undefined" report.undefined undefined
         else
           ( report,
             Verified
-              {
-                exports = List.length actual_exports;
-                undefined = List.length actual_undef;
-              } )
-    | exception e -> (report, Eval_raised (Printexc.to_string e))
+              { exports = List.length exports; undefined = List.length undefined }
+          )

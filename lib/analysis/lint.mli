@@ -3,25 +3,51 @@
     [analyze] walks an m-graph exactly as {!Blueprint.Mgraph.eval}
     would (same operand order, same freeze/hide mangling-id sequence)
     but on abstract name sets — no view is materialized and no
-    simulated cost is charged — and reports findings with stable codes:
+    simulated cost is charged — and reports findings with stable codes.
 
-    {v
-    E001 unresolved-at-root      E005 unknown-server-object
-    E002 duplicate-global-in-merge  E006 invalid-selector
-    E003 rename-collision        E007 source-compile-error
-    E004 conflicting-address-constraints  E008 malformed-graph
-    W101 dead-restrict/hide/show/project
-    W102 override-overrides-nothing
-    W103 freeze-of-already-frozen
-    W104 shadowed-weak-definition
-    W105 unstable-subtree
-    v} *)
+    - [E001] unresolved-at-root — a reference that some fragment once
+      defined is undefined in the final module (an operator removed or
+      renamed the definition away). Plain external imports (never
+      defined anywhere in the graph) are reported in the summary, not
+      as findings.
+    - [E002] duplicate-global-in-merge — two global definitions of the
+      same name meet in a [merge]; evaluation raises.
+    - [E003] rename-collision — a [rename]/[copy-as] mints a global
+      definition name that now collides with another.
+    - [E004] conflicting-address-constraints — distinct base addresses
+      preferred for the same segment at equal priority.
+    - [E005] unknown-server-object — a [Name] that does not resolve, or
+      resolves cyclically.
+    - [E006] invalid-selector — a selector pattern or rewrite template
+      [Str] cannot compile or apply.
+    - [E007] source-compile-error — a [source] node's text does not
+      compile (or names an unsupported language).
+    - [E008] malformed-graph — structural misuse ([list] outside an
+      operand position, bad specializer arguments, unknown
+      specialization style, empty [merge]).
+    - [W101] dead-selector — a [restrict]/[hide]/[show]/[project] whose
+      selector gives the operator nothing to do.
+    - [W102] override-overrides-nothing — the right operand exports
+      nothing the left operand defines.
+    - [W103] freeze-of-already-frozen — freezing symbols whose bindings
+      are already permanent (mints a useless extra alias).
+    - [W104] shadowed-weak-definition — a weak definition permanently
+      shadowed by a global one in a [merge].
+    - [W105] unstable-subtree — a live [freeze]/[hide]/[show] mints
+      [n$frzI]/[n$hidI] aliases into the exported namespace, so the
+      node's interface summary depends on the global mangling-id
+      sequence: {!Impact} can never prove such a subtree reusable.
 
-type severity = Error | Warning
+    The walk is {!Impact}'s: one walker computes the symbol flow, the
+    impact summaries and every finding but the root checks ([E001],
+    [E004]), so a registration whose impact walk is memoized lints
+    only the nodes the edit changed. *)
+
+type severity = Impact.severity = Error | Warning
 
 val severity_to_string : severity -> string
 
-type finding = {
+type finding = Impact.finding = {
   code : string;  (** stable code, e.g. ["E002"] *)
   title : string;  (** stable slug, e.g. ["duplicate-global-in-merge"] *)
   severity : severity;
@@ -48,6 +74,10 @@ val warnings : report -> int
 
 (** ["E002 duplicate-global-in-merge at merge: ... [sym, sym]"] *)
 val finding_to_string : finding -> string
+
+(** The report of one {!Impact} walk: its findings followed by the root
+    checks ([E001], then [E004]). *)
+val of_walk : Impact.lint -> report
 
 (** [analyze ~resolve root] runs the abstract interpretation. [resolve]
     maps server-object paths to sub-graphs ([Error msg] yields an E005

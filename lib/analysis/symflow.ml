@@ -119,22 +119,6 @@ let duplicate_globals (frags : frag list) : (string * string * string) list =
     frags;
   List.rev !dups
 
-(** Names defined [Weak] in one operand and [Global] in the other — the
-    weak definitions this merge permanently shadows. Sorted. *)
-let weak_shadowed (a : t) (b : t) : string list =
-  let bindings (m : t) (keep : Sof.Symbol.binding) : S.t =
-    List.fold_left
-      (fun acc f ->
-        List.fold_left
-          (fun acc (n, bind) -> if bind = keep then S.add n acc else acc)
-          acc f.f_defs)
-      S.empty m.frags
-  in
-  S.elements
-    (S.union
-       (S.inter (bindings a Sof.Symbol.Weak) (bindings b Sof.Symbol.Global))
-       (S.inter (bindings b Sof.Symbol.Weak) (bindings a Sof.Symbol.Global)))
-
 (** Definition and constructor names any fragment holds that match —
     what a [restrict]'s [Undefine] would actually touch. Sorted. *)
 let touched (p : string -> bool) (m : t) : string list =

@@ -256,11 +256,50 @@ let registration_matches_scratch (s : Server.t) (path : string) :
           (Printf.sprintf "%s: registration-time impact tree vs fresh analysis: %s"
              path (first_diff a b))
 
+(* A lint report as the oracle compares it: every field, findings in
+   order. *)
+let lint_rows (r : Analysis.Lint.report) : string list =
+  let module L = Analysis.Lint in
+  let module Mg = Blueprint.Mgraph in
+  let pref (c : Mg.constraint_pref) =
+    Format.asprintf "%s/%d:%a"
+      (match c.Mg.seg with Mg.Seg_text -> "T" | Mg.Seg_data -> "D")
+      c.Mg.priority Constraints.Placement.pp_pref c.Mg.pref
+  in
+  List.map
+    (fun (f : L.finding) ->
+      L.severity_to_string f.L.severity ^ " " ^ L.finding_to_string f)
+    r.L.findings
+  @ [
+      "exports " ^ String.concat "," r.L.exports;
+      "undefined " ^ String.concat "," r.L.undefined;
+      "frozen " ^ String.concat "," r.L.frozen;
+      "hidden " ^ String.concat "," r.L.hidden;
+      "prefs " ^ String.concat "," (List.map pref r.L.prefs);
+      Printf.sprintf "approximate %b eval_fails %b" r.L.approximate r.L.eval_fails;
+    ]
+
+let lint_matches_scratch (s : Server.t) (path : string) : (unit, string) result =
+  match Server.lint_report s path with
+  | None -> Error (path ^ ": no registration-time lint report")
+  | Some reg ->
+      let scratch =
+        Analysis.Lint.analyze ~resolve:(Server.resolve_graph s) ~gensym_base:0
+          (Blueprint.Meta.effective_graph (Server.find_meta s path) ~spec:None)
+      in
+      let a = lint_rows reg and b = lint_rows scratch in
+      if a = b then Ok ()
+      else
+        Error
+          (Printf.sprintf "%s: registration-time lint vs fresh lint: %s" path
+             (first_diff a b))
+
 (* One full history: install the case, build every library, install the
    edited blueprints over the same bindings, rebuild every library.
    [gensym0] aligns the global mangling counter so both runs mint
-   comparable freeze/hide aliases. The registration-time impact tree of
-   every re-registered library must equal a fresh analysis. *)
+   comparable freeze/hide aliases. The registration-time impact tree and
+   lint report of every re-registered library must equal a fresh
+   analysis. *)
 let incremental_run (c : Fuzz.case) (c' : Fuzz.case) ~(reuse : bool)
     ~(gensym0 : int) :
     (string list * (int * int * string) list * (int * int * string) list, string)
@@ -276,16 +315,20 @@ let incremental_run (c : Fuzz.case) (c' : Fuzz.case) ~(reuse : bool)
     | exception e -> Printf.sprintf "%s: raised %s" path (Printexc.to_string e)
   in
   let pre = List.map (fun l -> build (Fuzz.lib_path l)) c.Fuzz.f_libs in
-  List.iter
-    (fun l -> Server.register_meta_source s (Fuzz.lib_path l) (Fuzz.meta_source l))
-    c'.Fuzz.f_libs;
+  (* a report is not refreshed when a meta it reaches changes later, so
+     each is compared right after its own registration *)
+  let lints =
+    List.fold_left
+      (fun acc l ->
+        Server.register_meta_source s (Fuzz.lib_path l) (Fuzz.meta_source l);
+        Result.bind acc (fun () -> lint_matches_scratch s (Fuzz.lib_path l)))
+      (Ok ()) c'.Fuzz.f_libs
+  in
   let trees =
     List.fold_left
       (fun acc l ->
-        match acc with
-        | Error _ -> acc
-        | Ok () -> registration_matches_scratch s (Fuzz.lib_path l))
-      (Ok ()) c'.Fuzz.f_libs
+        Result.bind acc (fun () -> registration_matches_scratch s (Fuzz.lib_path l)))
+      lints c'.Fuzz.f_libs
   in
   let post = List.map (fun l -> build (Fuzz.lib_path l)) c'.Fuzz.f_libs in
   Result.map

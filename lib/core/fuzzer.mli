@@ -34,7 +34,11 @@
       are registered, each one's registration-time impact tree (which
       the server analyzed incrementally, through its subtree memo) must
       equal a fresh {!Analysis.Impact.analyze} of the same graph
-      ({!registration_matches_scratch}).
+      ({!registration_matches_scratch}). Right after each edited meta
+      is registered, its lint report, which the same memoized walk
+      produced, must equal a fresh {!Analysis.Lint.analyze} from gensym
+      base 0, every field and every finding in order
+      ({!lint_matches_scratch}).
 
     Any other exception escaping a case is classified as the ["crash"]
     oracle. All of it is deterministic: same case, same verdict. *)
@@ -66,6 +70,13 @@ val install : Workloads.Fuzz.case -> World.t -> unit
     stability, modeledness and summaries, in pre-order. [Error] names
     the first differing node. *)
 val registration_matches_scratch : Server.t -> string -> (unit, string) result
+
+(** [lint_matches_scratch s path]: the registration-time
+    {!Server.lint_report} of the meta-object at [path] equals a fresh
+    {!Analysis.Lint.analyze} of its graph from gensym base 0 — findings
+    in order, exports, undefined, frozen, hidden, prefs, [approximate]
+    and [eval_fails]. [Error] names the first differing row. *)
+val lint_matches_scratch : Server.t -> string -> (unit, string) result
 
 (** Run every oracle against one case. Never raises. *)
 val run_case : Workloads.Fuzz.case -> verdict

@@ -131,8 +131,9 @@ type t = {
       (* registration-time dependence analysis per meta-object path *)
   impact_memos : (string, Analysis.Impact.memo) Hashtbl.t;
       (* per meta-object path: the subtree memo its re-analysis reads *)
-  impact_diffs : (string, Analysis.Impact.diff) Hashtbl.t;
-      (* verdicts of the latest re-registration of each meta path *)
+  impact_diffs : (string, Analysis.Impact.diff Lazy.t) Hashtbl.t;
+      (* verdicts of the latest re-registration of each meta path,
+         computed from its (old, new) trees when first read *)
   impact_plan : (string, plan_entry) Hashtbl.t;
       (* node content address -> reuse verdict, over the live trees *)
   mutable subtree_reuse : bool; (* consult the memo table during eval? *)
@@ -330,51 +331,55 @@ let plan_count (t : t) ~(by : int) (i : Analysis.Impact.info) : unit =
    re-analyzes through its own memo, so only the respun spine is
    walked, and the plan trades the old tree's nodes for the new one's
    in proportion to what changed. A path that is no longer a
-   meta-object drops its tree. *)
-let refresh_impact (t : t) (path : string) : unit =
-  List.iter
-    (fun p ->
-      let old = Hashtbl.find_opt t.impact_trees p in
-      let fresh =
-        match Namespace.lookup t.ns p with
-        | Some (Namespace.Meta m) ->
-            let memo =
-              match Hashtbl.find_opt t.impact_memos p with
-              | Some mm -> mm
-              | None ->
-                  let mm =
-                    Analysis.Impact.create_memo
-                      ~address:(Namespace.node_address t.ns)
-                      ~binding:(Namespace.address t.ns)
-                  in
-                  Hashtbl.replace t.impact_memos p mm;
-                  mm
-            in
-            (* addressing the binding first records the addresses of
-               every node of its graph, which the walk then reads *)
-            ignore (Namespace.address t.ns p);
-            let tree =
-              Analysis.Impact.analyze ~memo ~resolve:(resolve_graph t)
-                (Blueprint.Meta.effective_graph m ~spec:None)
-            in
-            Hashtbl.replace t.impact_trees p tree;
-            Some tree
-        | _ ->
-            Hashtbl.remove t.impact_trees p;
-            Hashtbl.remove t.impact_memos p;
-            None
-      in
-      let root tr = tr.Analysis.Impact.t_root in
-      Analysis.Impact.changes ~removed:(plan_count t ~by:(-1))
-        ~added:(plan_count t ~by:1) (Option.map root old)
-        (Option.map root fresh))
-    (Namespace.dependents t.ns path)
+   meta-object drops its tree. Returns [path]'s own fresh tree. *)
+let refresh_impact (t : t) (path : string) : Analysis.Impact.tree option =
+  let refresh p =
+    let old = Hashtbl.find_opt t.impact_trees p in
+    let fresh =
+      match Namespace.lookup t.ns p with
+      | Some (Namespace.Meta m) ->
+          let memo =
+            match Hashtbl.find_opt t.impact_memos p with
+            | Some mm -> mm
+            | None ->
+                let mm =
+                  Analysis.Impact.create_memo
+                    ~address:(Namespace.node_address t.ns)
+                    ~binding:(Namespace.address t.ns)
+                in
+                Hashtbl.replace t.impact_memos p mm;
+                mm
+          in
+          (* addressing the binding first records the addresses of
+             every node of its graph, which the walk then reads *)
+          ignore (Namespace.address t.ns p);
+          let tree =
+            Analysis.Impact.analyze ~memo ~resolve:(resolve_graph t)
+              (Blueprint.Meta.effective_graph m ~spec:None)
+          in
+          Hashtbl.replace t.impact_trees p tree;
+          Some tree
+      | _ ->
+          Hashtbl.remove t.impact_trees p;
+          Hashtbl.remove t.impact_memos p;
+          None
+    in
+    let root tr = tr.Analysis.Impact.t_root in
+    Analysis.Impact.changes ~removed:(plan_count t ~by:(-1))
+      ~added:(plan_count t ~by:1) (Option.map root old)
+      (Option.map root fresh);
+    fresh
+  in
+  (* [dependents] lists [path] itself first *)
+  match List.map refresh (Namespace.dependents t.ns path) with
+  | own :: _ -> own
+  | [] -> None
 
 (** Bind a fragment. The impact trees of the meta-objects that reach
     [path] are refreshed: their content moved with it. *)
 let add_fragment (t : t) (path : string) (o : Sof.Object_file.t) : unit =
   Namespace.bind_fragment t.ns path o;
-  refresh_impact t path
+  ignore (refresh_impact t path)
 
 (** Bind a meta-object and lint it: the symbol-flow analyzer runs at
     registration (no view materialized, no simulated cost charged), the
@@ -386,24 +391,28 @@ let add_fragment (t : t) (path : string) (o : Sof.Object_file.t) : unit =
     Registration also refreshes the incremental-relinking plan: the
     {!Analysis.Impact} trees of [path] and of every meta that reaches
     it are recomputed, and if [path] was already bound the old/new
-    trees are diffed — the next build of an edited blueprint then
-    re-materializes only the respun spine, answering
-    provably-equivalent subtrees from the memo table. *)
+    trees are kept for {!impact_diff} — the next build of an edited
+    blueprint then re-materializes only the respun spine, answering
+    provably-equivalent subtrees from the memo table. The lint report
+    is the base-0 replay of [path]'s own impact walk plus the root
+    checks, so a memoized subtree is not linted again. *)
 let register_meta (t : t) (path : string) (m : Blueprint.Meta.t) : unit =
   let old_tree = Hashtbl.find_opt t.impact_trees path in
   Namespace.bind_meta t.ns path m;
-  let report = Analysis.Lint.analyze_meta ~resolve:(resolve_graph t) m in
-  Hashtbl.replace t.lints path report;
-  let errs = Analysis.Lint.errors report
-  and warns = Analysis.Lint.warnings report in
-  if errs > 0 then Telemetry.Counter.incr ~by:errs tm_lint_errors;
-  if warns > 0 then Telemetry.Counter.incr ~by:warns tm_lint_warnings;
-  refresh_impact t path;
-  match (old_tree, Hashtbl.find_opt t.impact_trees path) with
-  | Some ot, Some nt ->
-      Hashtbl.replace t.impact_diffs path
-        (Analysis.Impact.diff ~old_tree:ot ~new_tree:nt)
-  | _ -> ()
+  Option.iter
+    (fun nt ->
+      let report = Analysis.Lint.of_walk nt.Analysis.Impact.t_lint in
+      Hashtbl.replace t.lints path report;
+      let errs = Analysis.Lint.errors report
+      and warns = Analysis.Lint.warnings report in
+      if errs > 0 then Telemetry.Counter.incr ~by:errs tm_lint_errors;
+      if warns > 0 then Telemetry.Counter.incr ~by:warns tm_lint_warnings;
+      Option.iter
+        (fun ot ->
+          Hashtbl.replace t.impact_diffs path
+            (lazy (Analysis.Impact.diff ~old_tree:ot ~new_tree:nt)))
+        old_tree)
+    (refresh_impact t path)
 
 (** The registration-time lint report of a bound meta-object. *)
 let lint_report (t : t) (path : string) : Analysis.Lint.report option =
@@ -416,7 +425,7 @@ let impact_tree (t : t) (path : string) : Analysis.Impact.tree option =
 (** The reuse/respin verdicts computed the last time [path] was
     re-registered over an existing binding. *)
 let impact_diff (t : t) (path : string) : Analysis.Impact.diff option =
-  Hashtbl.find_opt t.impact_diffs path
+  Option.map Lazy.force (Hashtbl.find_opt t.impact_diffs path)
 
 (** Toggle incremental relinking (default on): when off, evaluation
     never consults or fills the per-node memo table — the knob the

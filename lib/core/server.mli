@@ -102,7 +102,10 @@ val add_fragment : t -> string -> Sof.Object_file.t -> unit
     memo, so the work is in proportion to what the edit changed. *)
 val register_meta : t -> string -> Blueprint.Meta.t -> unit
 
-(** The registration-time lint report of a bound meta-object. *)
+(** The registration-time lint report of a bound meta-object: the
+    findings of the meta's own impact walk (memoized subtrees answer
+    with their stored findings) plus the root checks. It is not
+    refreshed when a meta it reaches changes later. *)
 val lint_report : t -> string -> Analysis.Lint.report option
 
 (** The registration-time {!Analysis.Impact} dependence analysis of a
@@ -111,9 +114,10 @@ val lint_report : t -> string -> Analysis.Lint.report option
     current). *)
 val impact_tree : t -> string -> Analysis.Impact.tree option
 
-(** The reuse/respin verdicts computed the last time the path was
+(** The reuse/respin verdicts of the last time the path was
     re-registered over an existing binding — which subtrees of the
-    edited blueprint survive, and why the rest must respin. *)
+    edited blueprint survive, and why the rest must respin. Computed
+    from the old and new trees on the first read, then cached. *)
 val impact_diff : t -> string -> Analysis.Impact.diff option
 
 (** Toggle incremental relinking (default on): when off, evaluation

@@ -56,7 +56,14 @@ let test_e001_unresolved_at_root () =
   let r = analyze (Mg.Merge [ Mg.Leaf importer ]) in
   Alcotest.(check (list string)) "import is clean" [] (codes r);
   Alcotest.(check (list string)) "but still undefined" [ "external_thing" ]
-    r.L.undefined
+    r.L.undefined;
+  (* a definition from any merge operand counts, not only the first *)
+  let other = obj "/t/other.o" [ ("z", Sof.Symbol.Global) ] in
+  let r =
+    analyze (Mg.Restrict ("^helper$", Mg.Merge [ Mg.Leaf other; Mg.Leaf (base_obj ()) ]))
+  in
+  Alcotest.(check (list string)) "second operand's definition" [ "helper" ]
+    (find_code r "E001").L.symbols
 
 let test_e002_duplicate_global () =
   let a = obj "/t/a.o" [ ("f", Sof.Symbol.Global) ] in
@@ -77,7 +84,20 @@ let test_e002_duplicate_global () =
   let w = obj "/t/w.o" [ ("f", Sof.Symbol.Weak) ] in
   let r = analyze (Mg.Merge [ Mg.Leaf a; Mg.Leaf w ]) in
   Alcotest.(check bool) "no E002 for weak" true
-    (not (List.mem "E002" (codes r)))
+    (not (List.mem "E002" (codes r)));
+  (* an operand's own duplicate is reported once, where it arises, and
+     a fresh one above it still is *)
+  let c = obj "/t/c.o" [ ("g", Sof.Symbol.Global) ] in
+  let c' = obj "/t/c2.o" [ ("g", Sof.Symbol.Global) ] in
+  let r =
+    analyze (Mg.Merge [ Mg.Merge [ Mg.Leaf a; Mg.Leaf b ]; Mg.Leaf c; Mg.Leaf c' ])
+  in
+  Alcotest.(check (list (pair string string)))
+    "one E002 per merge that creates it"
+    [ ("merge[0].merge", "f"); ("merge", "g") ]
+    (List.map
+       (fun (f : L.finding) -> (f.L.path, String.concat "," f.L.symbols))
+       (List.filter (fun (f : L.finding) -> f.L.code = "E002") r.L.findings))
 
 let test_e003_rename_collision () =
   let o = obj "/t/fg.o" [ ("f", Sof.Symbol.Global); ("g", Sof.Symbol.Global) ] in
@@ -578,6 +598,26 @@ let test_edit_walks_spine () =
     true
     (nodes > 0 && nodes <= 2 * (spine + (4 * depth)))
 
+(* The same one-leaf edit walks exactly the 7-node spine (the root, four
+   merges, the edited name and its leaf) once for impact and lint
+   together, and the registration-time lint report equals a
+   from-scratch lint of the edited graph. *)
+let test_edit_lints_spine () =
+  let n = 1000 in
+  let s, leaves, register = relink_world n in
+  Omos.Server.add_fragment s "/relink/m7v2.o"
+    (Minic.Driver.compile ~name:"/relink/m7v2.o" (relink_source n 7 100007));
+  leaves.(7) <- "/relink/m7v2.o";
+  let w0 = walked () in
+  register ();
+  Alcotest.(check int) "nodes walked" 7 (walked () - w0);
+  let graph =
+    Blueprint.Meta.effective_graph (Omos.Server.find_meta s "/relink/lib") ~spec:None
+  in
+  Alcotest.(check bool) "report equals a from-scratch lint" true
+    (Omos.Server.lint_report s "/relink/lib"
+    = Some (L.analyze ~resolve:(Omos.Server.resolve_graph s) ~gensym_base:0 graph))
+
 (* Registering a one-line meta walks the same nodes whether or not the
    World's metas are bound: registration re-analyzes only the bindings
    an edit can reach. *)
@@ -630,6 +670,119 @@ let test_seeded_edits_match_scratch () =
           (Minic.Driver.compile ~name:leaves.(i) (relink_source n i c)));
     check k
   done
+
+(* Incremental lint equals from-scratch lint. A fragment pool whose
+   merges, overrides and rewrites raise E002, W104, W102 and E003, dead
+   selectors (W101), live freezes and hides (unstable, W105), a [Name]
+   to a meta and a self-reaching meta (E005): random graphs over it are
+   registered, then re-registered after one subtree is replaced, and
+   after each registration the server's report must equal a fresh
+   [Lint.analyze] of the same graph. The stable subtrees are answered
+   from the memo with their findings. *)
+let equiv_pool =
+  let refs name defs refs =
+    Sof.Object_file.make ~name ~text:Bytes.empty
+      (List.map
+         (fun (n, b) -> Sof.Symbol.make ~binding:b ~kind:Sof.Symbol.Abs ~value:0 n)
+         defs
+      @ List.map Sof.Symbol.undef refs)
+  in
+  [|
+    refs "/q/o0.o" [ ("f", Sof.Symbol.Global); ("g", Sof.Symbol.Global) ] [];
+    refs "/q/o1.o" [ ("f", Sof.Symbol.Global) ] [ "h" ];
+    refs "/q/o2.o" [ ("f", Sof.Symbol.Weak); ("h", Sof.Symbol.Global) ] [];
+    refs "/q/o3.o" [ ("k", Sof.Symbol.Global) ] [ "f"; "g"; "h" ];
+    refs "/q/o4.o" [ ("g", Sof.Symbol.Weak); ("m", Sof.Symbol.Local) ] [ "k" ];
+  |]
+
+let equiv_sels = [| "^f$"; "^g$"; "^zz"; "."; "^(f|h)$"; "^[" |]
+let equiv_templates = [| "g"; "k2"; "\\1x" |]
+
+let rec equiv_graph rng depth : Mg.node =
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let sel () = pick equiv_sels and sub () = equiv_graph rng (depth - 1) in
+  if depth = 0 || Random.State.int rng 4 = 0 then
+    match Random.State.int rng 8 with
+    | 0 -> Mg.Leaf (pick equiv_pool)
+    | 1 -> Mg.Name "/q/aux"
+    | 2 -> Mg.Name "/q/cyc"
+    | _ -> Mg.Name (pick equiv_pool).Sof.Object_file.name
+  else
+    match Random.State.int rng 11 with
+    | 0 | 1 | 2 -> Mg.Merge (List.init (2 + Random.State.int rng 2) (fun _ -> sub ()))
+    | 3 -> Mg.Override (sub (), sub ())
+    | 4 -> Mg.Restrict (sel (), sub ())
+    | 5 -> Mg.Project (sel (), sub ())
+    | 6 -> Mg.Copy_as (sel (), pick equiv_templates, sub ())
+    | 7 ->
+        Mg.Rename
+          ( pick [| Jigsaw.Module_ops.Defs_only; Jigsaw.Module_ops.Both |],
+            sel (),
+            pick equiv_templates,
+            sub () )
+    | 8 -> Mg.Freeze (sel (), sub ())
+    | 9 -> Mg.Hide (sel (), sub ())
+    | _ -> Mg.Constrain (Mg.Seg_text, 0x1000 * (1 + Random.State.int rng 2), sub ())
+
+(* [g] with its [k]-th node in pre-order replaced by [by] *)
+let replace_nth (g : Mg.node) (k : int) (by : Mg.node) : Mg.node =
+  let i = ref (-1) in
+  let rec go n =
+    incr i;
+    if !i = k then by
+    else
+      match n with
+      | Mg.Merge xs -> Mg.Merge (List.map go xs)
+      | Mg.Override (a, b) ->
+          let a = go a in
+          Mg.Override (a, go b)
+      | Mg.Restrict (p, x) -> Mg.Restrict (p, go x)
+      | Mg.Project (p, x) -> Mg.Project (p, go x)
+      | Mg.Copy_as (p, t, x) -> Mg.Copy_as (p, t, go x)
+      | Mg.Rename (sc, p, t, x) -> Mg.Rename (sc, p, t, go x)
+      | Mg.Freeze (p, x) -> Mg.Freeze (p, go x)
+      | Mg.Hide (p, x) -> Mg.Hide (p, go x)
+      | Mg.Constrain (sg, a, x) -> Mg.Constrain (sg, a, go x)
+      | n -> n
+  in
+  go g
+
+let rec graph_size : Mg.node -> int = function
+  | Mg.Merge xs -> 1 + List.fold_left (fun a x -> a + graph_size x) 0 xs
+  | Mg.Override (a, b) -> 1 + graph_size a + graph_size b
+  | Mg.Restrict (_, x) | Mg.Project (_, x) | Mg.Copy_as (_, _, x)
+  | Mg.Rename (_, _, _, x) | Mg.Freeze (_, x) | Mg.Hide (_, x)
+  | Mg.Constrain (_, _, x) ->
+      1 + graph_size x
+  | _ -> 1
+
+let prop_incremental_lint_matches_scratch =
+  QCheck.Test.make ~name:"re-registration lint equals from-scratch lint"
+    ~count:300 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let s = Omos.Server.create ~kernel:(Simos.Kernel.create ()) () in
+      Array.iter
+        (fun o -> Omos.Server.add_fragment s o.Sof.Object_file.name o)
+        equiv_pool;
+      let meta path g = Omos.Server.register_meta s path (Blueprint.Meta.of_graph ~name:path g) in
+      meta "/q/aux" (Mg.Merge [ Mg.Name "/q/o0.o"; Mg.Name "/q/o3.o" ]);
+      meta "/q/cyc" (Mg.Merge [ Mg.Name "/q/o1.o"; Mg.Name "/q/cyc" ]);
+      let matches g =
+        meta "/q/lib" g;
+        Omos.Server.lint_report s "/q/lib"
+        = Some (L.analyze ~resolve:(Omos.Server.resolve_graph s) ~gensym_base:0 g)
+      in
+      let g = ref (equiv_graph rng 4) in
+      matches !g
+      && List.for_all
+           (fun _ ->
+             g :=
+               replace_nth !g
+                 (Random.State.int rng (graph_size !g))
+                 (equiv_graph rng 2);
+             matches !g)
+           [ 1; 2; 3 ])
 
 (* every Reused verdict over a fuzzed single-edit pair materializes
    byte-identically — the proof obligation discharged over the same
@@ -713,6 +866,8 @@ let () =
             test_registration_counters_and_provenance;
           Alcotest.test_case "one-leaf edit walks the spine" `Quick
             test_edit_walks_spine;
+          Alcotest.test_case "one-leaf edit lints the spine" `Quick
+            test_edit_lints_spine;
           Alcotest.test_case "one-line meta walk independent of namespace" `Quick
             test_one_line_meta_walk_independent;
           Alcotest.test_case "seeded edits match a fresh analysis" `Quick
@@ -733,5 +888,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_dead_restrict_noop;
           QCheck_alcotest.to_alcotest prop_dead_hide_noop;
           QCheck_alcotest.to_alcotest prop_edit_pairs_reused_byte_identical;
+          QCheck_alcotest.to_alcotest prop_incremental_lint_matches_scratch;
         ] );
     ]
