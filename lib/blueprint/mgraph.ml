@@ -294,28 +294,6 @@ let register (env : env) (style : string) (f : specializer) : unit =
 
 (* -- graph utilities -------------------------------------------------------- *)
 
-(** [map_leaves f n] rewrites every [Leaf]/[Name]/[Source] of the graph —
-    the transformation hook specializations use. *)
-let rec map_nodes (f : node -> node option) (n : node) : node =
-  match f n with
-  | Some n' -> n'
-  | None -> (
-      match n with
-      | Leaf _ | Name _ | Source _ -> n
-      | Merge xs -> Merge (List.map (map_nodes f) xs)
-      | Override (a, b) -> Override (map_nodes f a, map_nodes f b)
-      | Freeze (p, x) -> Freeze (p, map_nodes f x)
-      | Restrict (p, x) -> Restrict (p, map_nodes f x)
-      | Project (p, x) -> Project (p, map_nodes f x)
-      | Copy_as (p, t, x) -> Copy_as (p, t, map_nodes f x)
-      | Hide (p, x) -> Hide (p, map_nodes f x)
-      | Show (p, x) -> Show (p, map_nodes f x)
-      | Rename (s, p, t, x) -> Rename (s, p, t, map_nodes f x)
-      | Initializers x -> Initializers (map_nodes f x)
-      | Specialize (st, vs, x) -> Specialize (st, vs, map_nodes f x)
-      | Constrain (s, a, x) -> Constrain (s, a, map_nodes f x)
-      | Lst xs -> Lst (List.map (map_nodes f) xs))
-
 (** Surface-syntax operator name of a node — the vocabulary of m-graph
     path addressing in lint findings. *)
 let op_name (n : node) : string =
@@ -336,16 +314,6 @@ let op_name (n : node) : string =
   | Specialize (style, _, _) -> "specialize:" ^ style
   | Constrain _ -> "constrain"
   | Lst _ -> "list"
-
-(** The selector pattern a node carries, if its operator takes one. *)
-let selector_of (n : node) : string option =
-  match n with
-  | Freeze (p, _) | Restrict (p, _) | Project (p, _) | Hide (p, _)
-  | Show (p, _) | Copy_as (p, _, _) | Rename (_, p, _, _) ->
-      Some p
-  | Leaf _ | Name _ | Merge _ | Override _ | Initializers _ | Source _
-  | Specialize _ | Constrain _ | Lst _ ->
-      None
 
 (** Names referenced anywhere in the graph (dependency extraction). *)
 let rec names (n : node) : string list =

@@ -96,18 +96,10 @@ val make_env : ?resolve:(string -> node) -> unit -> env
 (** Register an additional specialization style. *)
 val register : env -> string -> specializer -> unit
 
-(** [map_nodes f n] rewrites the graph top-down: where [f] returns
-    [Some n'], the subtree is replaced; otherwise recursion continues —
-    the transformation hook specializations use. *)
-val map_nodes : (node -> node option) -> node -> node
-
 (** Surface-syntax operator name of a node — the vocabulary of m-graph
     path addressing in lint findings ("merge", "override", "rename",
     "specialize:STYLE", "leaf:NAME", …). *)
 val op_name : node -> string
-
-(** The selector pattern a node carries, if its operator takes one. *)
-val selector_of : node -> string option
 
 (** Names referenced anywhere in the graph (dependency extraction). *)
 val names : node -> string list

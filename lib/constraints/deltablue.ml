@@ -18,7 +18,6 @@ exception Unsatisfiable_required
 
 (* Strengths: smaller is stronger. *)
 let required = 0
-let strong_preferred = 1
 let preferred = 2
 let strong_default = 3
 let normal = 4

@@ -9,7 +9,6 @@ exception Unsatisfiable_required
 (** Strengths: smaller is stronger. *)
 
 val required : int
-val strong_preferred : int
 val preferred : int
 val strong_default : int
 val normal : int

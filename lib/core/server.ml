@@ -58,7 +58,9 @@ type plan_entry = {
    next one, so stages of different requests can interleave freely. *)
 type job = {
   jt : int; (* ticket = telemetry request id, assigned at submission *)
-  jclient : int;
+  jctx : Telemetry.Request.ctx;
+      (* the request's attribution, binding journal, waits and causal
+         record, from admission to completion *)
   jreq : request;
   jsubmit_us : float;
   mutable jwork_us : float; (* simulated time spent inside stages *)
@@ -71,16 +73,8 @@ type job = {
   mutable jdata_size : int;
   mutable jtdec : Constraints.Placement.decision option;
   mutable jddec : Constraints.Placement.decision option;
-  mutable jframe : Telemetry.Provenance.open_frame option;
-      (* the suspended binding-journal frame between stages *)
   mutable jreacquire_conflict : int option;
       (* wanted text base of a failed cache-hit reacquisition *)
-  mutable jpark_us : float; (* when the job last parked (batch/coalesce) *)
-  mutable jbatch_us : float; (* wait at the place barrier until flush *)
-  mutable jcoalesce_us : float; (* wait on a leader's in-flight build *)
-  mutable jpending_coalesced : int;
-      (* followers coalesced onto this job before its journal frame
-         opened; replayed as Coalesced events when lint opens it *)
   mutable joutcome : (response, exn) result option;
   jsync : bool;
       (* nested request: its stages run by direct call, not the scheduler *)
@@ -145,7 +139,7 @@ type t = {
   mutable queue_limit : int; (* admission control: max in-flight *)
   mutable batch_place : bool; (* solve queued placements as one pass? *)
   mutable place_q : job list; (* parked at the place barrier, newest-first *)
-  building : (string, int) Hashtbl.t; (* cache keys being built -> ticket *)
+  building : (string, job) Hashtbl.t; (* cache keys being built -> leader *)
   mutable waiters : (string * job) list; (* coalesced onto an in-flight build *)
 }
 
@@ -222,27 +216,6 @@ let create ~(kernel : Simos.Kernel.t) ?(faults : Residency.faults option) () : t
   Telemetry.Runinfo.set "sched_seed" (Telemetry.I 0);
   Telemetry.Runinfo.set "batch_placement" (Telemetry.B true);
   Telemetry.Runinfo.set "queue_limit" (Telemetry.I 64);
-  let sched = Simos.Sched.create () in
-  Simos.Sched.set_time_source sched (fun () ->
-      Simos.Clock.elapsed kernel.Simos.Kernel.clock);
-  (* bridge scheduler dispatches into the causal graph: stage labels
-     are "r<ticket>:<stage>", so the ticket doubles as the causal
-     request id (no-op while causal recording is off) *)
-  Simos.Sched.set_on_dispatch sched
-    (Some
-       (fun ~label ~queued_us ~started_us ->
-         if Telemetry.Causal.is_enabled () then
-           match String.index_opt label ':' with
-           | Some i when i > 1 && label.[0] = 'r' -> (
-               match int_of_string_opt (String.sub label 1 (i - 1)) with
-               | Some id ->
-                   let stage =
-                     String.sub label (i + 1) (String.length label - i - 1)
-                   in
-                   Telemetry.Causal.dispatched ~id ~stage ~queued:queued_us
-                     ~started:started_us
-               | None -> ())
-           | _ -> ()));
   {
     ns;
     cache;
@@ -259,7 +232,7 @@ let create ~(kernel : Simos.Kernel.t) ?(faults : Residency.faults option) () : t
     impact_plan = Hashtbl.create 64;
     subtree_reuse = true;
     conflicts = [];
-    sched;
+    sched = Simos.Sched.create ();
     jobs = Hashtbl.create 64;
     inflight = 0;
     queue_limit = 64;
@@ -432,8 +405,6 @@ let impact_diff (t : t) (path : string) : Analysis.Impact.diff option =
     incremental-vs-from-scratch differential oracle flips. *)
 let set_subtree_reuse (t : t) (b : bool) : unit = t.subtree_reuse <- b
 
-let subtree_reuse (t : t) : bool = t.subtree_reuse
-
 (** Register a meta-object from blueprint source text — parse, then
     {!register_meta}, so registration-time lint behavior is uniform no
     matter how the meta arrives. *)
@@ -584,11 +555,14 @@ let target_label = function
 (* Stages run as cooperative scheduler tasks; a job's stages always run
    in order, but stages of different jobs interleave. Every stage
    execution resumes the job's request context (so spans, counters,
-   faults recorded inside carry its (client, ticket)), accumulates the
-   simulated time it spent into [jwork_us], and records a stage
-   transition in the flight recorder. *)
+   faults recorded inside carry its (client, ticket), and journal
+   events land in its journal), accumulates the simulated time it
+   spent into [jwork_us], and records a stage transition in the flight
+   recorder. *)
 
 type ticket = int
+
+let sim_now (t : t) : float = Simos.Clock.elapsed t.kernel.Simos.Kernel.clock
 
 let ticket_id (tk : ticket) : int = tk
 
@@ -606,7 +580,7 @@ let rec finish (t : t) (job : job) (outcome : (response, exn) result) : unit =
   t.inflight <- t.inflight - 1;
   Telemetry.Counter.incr tm_completed;
   (match Hashtbl.find_opt t.building job.jkey with
-  | Some owner when owner = job.jt ->
+  | Some owner when owner == job ->
       Hashtbl.remove t.building job.jkey;
       let woken, rest =
         List.partition (fun (k, _) -> k = job.jkey) t.waiters
@@ -615,17 +589,16 @@ let rec finish (t : t) (job : job) (outcome : (response, exn) result) : unit =
       let now = Telemetry.now_us () in
       List.iter
         (fun (_, w) ->
-          w.jcoalesce_us <- w.jcoalesce_us +. Float.max 0.0 (now -. w.jpark_us);
-          Telemetry.Causal.unpark ~id:w.jt ~at:now ();
+          Telemetry.Request.unpark w.jctx ~at:now;
           spawn_stage t w "parse" (stage_parse t w))
         woken
   | _ -> ());
-  Telemetry.Request.end_detached ~client:job.jclient ~id:job.jt "instantiate"
+  Telemetry.Request.end_detached job.jctx
 
 (* Run one stage body under the job's request context, trapping errors
    into the job's outcome. *)
 and run_stage (t : t) (job : job) (stage : string) (f : unit -> unit) : unit =
-  Telemetry.Request.resume ~client:job.jclient ~id:job.jt "instantiate";
+  Telemetry.Request.resume job.jctx;
   stage_transition job stage;
   let t0 = Telemetry.now_us () in
   Fun.protect
@@ -633,17 +606,23 @@ and run_stage (t : t) (job : job) (stage : string) (f : unit -> unit) : unit =
       let t1 = Telemetry.now_us () in
       let dt = t1 -. t0 in
       job.jwork_us <- job.jwork_us +. dt;
-      Telemetry.Causal.segment ~id:job.jt ~stage ~t0 ~t1 ();
+      Telemetry.Request.segment job.jctx ~stage ~t0 ~t1 ();
       if stage = "parse" then Telemetry.Histogram.observe tm_parse_us dt;
       Telemetry.Request.suspend ())
     (fun () -> try f () with e -> finish t job (Error e))
 
+(* A scheduled stage carries the instant it was spawned, so its dispatch
+   (spawn to run, both on the kernel's clock) enters the job's causal
+   record. *)
 and spawn_stage (t : t) (job : job) (stage : string) (f : unit -> unit) : unit =
   if job.jsync then job.jnext <- Some (stage, f)
-  else
-    Simos.Sched.spawn t.sched
-      ~label:(Printf.sprintf "r%d:%s" job.jt stage)
-      (fun () -> run_stage t job stage f)
+  else begin
+    let queued = sim_now t in
+    Simos.Sched.spawn t.sched (fun () ->
+        Telemetry.Request.dispatched job.jctx ~stage ~queued
+          ~started:(sim_now t);
+        run_stage t job stage f)
+  end
 
 (* map: the last stage — the built image is mappable; seal the
    response, observe the request-level metrics, and run the residency
@@ -655,8 +634,12 @@ and stage_map (t : t) (job : job) (b : built) () : unit =
      work) into its typed causes; the three parts still sum to it, so
      baselines that watched queue_us stay comparable *)
   let total_wait = Float.max 0.0 (sim_us -. job.jwork_us) in
-  let coalesce_us = Float.min job.jcoalesce_us total_wait in
-  let batch_us = Float.min job.jbatch_us (total_wait -. coalesce_us) in
+  let coalesce_us =
+    Float.min (Telemetry.Request.coalesce_us job.jctx) total_wait
+  in
+  let batch_us =
+    Float.min (Telemetry.Request.batch_us job.jctx) (total_wait -. coalesce_us)
+  in
   let queue_us = total_wait -. batch_us -. coalesce_us in
   let wait_frac = if sim_us > 0.0 then total_wait /. sim_us else 0.0 in
   Telemetry.Counter.incr tm_instantiations;
@@ -674,7 +657,7 @@ and stage_map (t : t) (job : job) (b : built) () : unit =
         (Printf.sprintf "%s wait_frac=%.2f" (target_label job.jreq.target)
            wait_frac)
       ~value:wait_frac Telemetry.Flight.Note "blame.wait_share";
-  Telemetry.Causal.complete ~id:job.jt ~at:done_us ~sim_us ~hit:job.jhit ();
+  Telemetry.Request.complete job.jctx ~at:done_us ~sim_us ~hit:job.jhit;
   finish t job
     (Ok { built = b; cache_hit = job.jhit; sim_us; queue_us; batch_us; coalesce_us })
 
@@ -684,10 +667,6 @@ and stage_map (t : t) (job : job) (b : built) () : unit =
    (they may be satisfied by clients); a static image links at the
    client bases. *)
 and stage_link (t : t) (job : job) () : unit =
-  (match job.jframe with
-  | Some f -> Telemetry.Provenance.resume_build f
-  | None -> ());
-  job.jframe <- None;
   let r = Option.get job.jeval in
   let name = job.jname in
   let text_base, data_base, placement, allow_undefined, entry =
@@ -769,12 +748,8 @@ and stage_place (t : t) (job : job) () : unit =
 
 (* eval: force the m-graph (misses only — hits never re-evaluate). *)
 and stage_eval (t : t) (job : job) () : unit =
-  (match job.jframe with
-  | Some f -> Telemetry.Provenance.resume_build f
-  | None -> ());
   t.work.instantiations <- t.work.instantiations + 1;
   let r = eval t (Option.get job.jgraph) in
-  job.jframe <- Some (Telemetry.Provenance.suspend_build ());
   job.jeval <- Some r;
   match job.jreq.target with
   | Static _ -> spawn_stage t job "link" (stage_link t job)
@@ -787,17 +762,15 @@ and stage_eval (t : t) (job : job) () : unit =
            queue as one constraint pass when nothing else can run. No
            time is charged between here and the end of the eval stage,
            so the park timestamp tiles exactly against the segment. *)
-        job.jpark_us <- Telemetry.now_us ();
-        Telemetry.Causal.park ~id:job.jt Telemetry.Causal.Batch
-          ~at:job.jpark_us ();
+        Telemetry.Request.park job.jctx Telemetry.Causal.Batch
+          ~at:(Telemetry.now_us ()) ();
         t.place_q <- job :: t.place_q
       end
       else spawn_stage t job "place" (stage_place t job)
 
-(* lint: open the binding-journal frame and replay the registration-time
-   findings into it, so every build of the meta carries them. *)
+(* lint: replay the registration-time findings into the job's binding
+   journal, so every build of the meta carries them. *)
 and stage_lint (t : t) (job : job) () : unit =
-  Telemetry.Provenance.begin_build ();
   (match Hashtbl.find_opt t.lints job.jname with
   | Some (rep : Analysis.Lint.report) ->
       List.iter
@@ -807,12 +780,6 @@ and stage_lint (t : t) (job : job) () : unit =
             ~path:f.Analysis.Lint.path f.Analysis.Lint.message)
         rep.Analysis.Lint.findings
   | None -> ());
-  (* followers that coalesced onto this build before its frame existed *)
-  for _ = 1 to job.jpending_coalesced do
-    Telemetry.Provenance.record_coalesced ~leader_request:job.jt
-  done;
-  job.jpending_coalesced <- 0;
-  job.jframe <- Some (Telemetry.Provenance.suspend_build ());
   spawn_stage t job "eval" (stage_eval t job)
 
 (* parse: resolve the target, fix the cache key, and serve cache hits
@@ -821,7 +788,7 @@ and stage_lint (t : t) (job : job) () : unit =
    never parks, so it neither waits on nor claims a build. *)
 and stage_parse (t : t) (job : job) () : unit =
   let fresh () =
-    if not job.jsync then Hashtbl.replace t.building job.jkey job.jt;
+    if not job.jsync then Hashtbl.replace t.building job.jkey job;
     spawn_stage t job "lint" (stage_lint t job)
   in
   let hit (e : Cache.entry) =
@@ -850,17 +817,9 @@ and stage_parse (t : t) (job : job) () : unit =
       Telemetry.Counter.incr tm_coalesced;
       (* journal the fold on the leader's build so [ofe explain] can
          show this hit was served by another in-flight request *)
-      (match Hashtbl.find_opt t.jobs leader with
-      | Some lj -> (
-          match lj.jframe with
-          | Some f ->
-              Telemetry.Provenance.record_coalesced_into f
-                ~leader_request:leader
-          | None -> lj.jpending_coalesced <- lj.jpending_coalesced + 1)
-      | None -> ());
-      job.jpark_us <- Telemetry.now_us ();
-      Telemetry.Causal.park ~id:job.jt Telemetry.Causal.Coalesce ~on:leader
-        ~at:job.jpark_us ();
+      Telemetry.Provenance.record_coalesced leader.jctx;
+      Telemetry.Request.park job.jctx Telemetry.Causal.Coalesce ~on:leader.jt
+        ~at:(Telemetry.now_us ()) ();
       t.waiters <- t.waiters @ [ (job.jkey, job) ]
   | _ -> (
       match job.jreq.target with
@@ -932,7 +891,7 @@ and flush_place (t : t) : unit =
            stay attributed to the request that owns them *)
         let wrap i (it : Constraints.Placement.batch_item) f =
           let j = by_index.(i) in
-          Telemetry.Request.resume ~client:j.jclient ~id:j.jt "instantiate";
+          Telemetry.Request.resume j.jctx;
           let w0 = Telemetry.now_us () in
           Fun.protect
             ~finally:(fun () ->
@@ -957,11 +916,10 @@ and flush_place (t : t) : unit =
           j.jddec <- Some (List.nth ddecs i);
           (* the pass worked for every member of the batch *)
           j.jwork_us <- j.jwork_us +. dt;
-          j.jbatch_us <- j.jbatch_us +. Float.max 0.0 (t0 -. j.jpark_us);
-          Telemetry.Causal.unpark ~id:j.jt ~at:t0 ();
-          Telemetry.Causal.segment ~id:j.jt ~stage:"place" ~t0 ~t1
+          Telemetry.Request.unpark j.jctx ~at:t0;
+          Telemetry.Request.segment j.jctx ~stage:"place" ~t0 ~t1
             ~self:wraps.(i) ();
-          Telemetry.Causal.set_solver_us ~id:j.jt solver_us;
+          Telemetry.Request.set_solver_us j.jctx solver_us;
           spawn_stage t j "link" (stage_link t j))
         jobs
 
@@ -1010,17 +968,17 @@ let admit (t : t) ~(sync : bool) (req : request) : job =
          (Printf.sprintf "pipeline full: %d requests in flight (limit %d)"
             t.inflight t.queue_limit))
   end;
-  let client = Telemetry.Request.effective_client () in
-  let id = Telemetry.Request.begin_detached ~client "instantiate" in
-  let submit_us = Telemetry.now_us () in
-  Telemetry.Causal.begin_request ~id ~client
-    ~target:(target_label req.target) ~at:submit_us;
+  let ctx =
+    Telemetry.Request.begin_detached ~target:(target_label req.target)
+      "instantiate"
+  in
+  let id = Telemetry.Request.id ctx in
   let job =
     {
       jt = id;
-      jclient = client;
+      jctx = ctx;
       jreq = req;
-      jsubmit_us = submit_us;
+      jsubmit_us = Telemetry.now_us ();
       jwork_us = 0.0;
       jhit = false;
       jname = "";
@@ -1031,12 +989,7 @@ let admit (t : t) ~(sync : bool) (req : request) : job =
       jdata_size = 1;
       jtdec = None;
       jddec = None;
-      jframe = None;
       jreacquire_conflict = None;
-      jpark_us = 0.0;
-      jbatch_us = 0.0;
-      jcoalesce_us = 0.0;
-      jpending_coalesced = 0;
       joutcome = None;
       jsync = sync;
       jnext = None;
@@ -1048,7 +1001,7 @@ let admit (t : t) ~(sync : bool) (req : request) : job =
   Telemetry.Histogram.observe tm_depth (float_of_int t.inflight);
   (* the eviction-storm fault, when enabled, empties the cache at
      admission — the request must then rebuild and re-place *)
-  Telemetry.Request.resume ~client:job.jclient ~id "instantiate";
+  Telemetry.Request.resume ctx;
   ignore (Residency.maybe_evict_storm t.residency);
   Telemetry.Request.suspend ();
   spawn_stage t job "parse" (stage_parse t job);
@@ -1058,17 +1011,16 @@ let admit (t : t) ~(sync : bool) (req : request) : job =
     {!Overload} when the pipeline is full. *)
 let submit (t : t) (req : request) : ticket = (admit t ~sync:false req).jt
 
-(* One pump round: run scheduler tasks; when nothing is runnable,
-   flush the place barrier and keep going. *)
-let rec pump (t : t) : unit =
-  if Simos.Sched.step t.sched then pump t
-  else if t.place_q <> [] then begin
-    flush_place t;
-    pump t
-  end
+(* One pump round: run one scheduler task or, when nothing is
+   runnable, flush the place barrier; [false] once the pipeline is
+   quiescent. *)
+let pump (t : t) : bool =
+  Simos.Sched.step t.sched
+  || (t.place_q <> [] && (flush_place t; true))
 
 (** Run the pipeline until every submitted request has completed. *)
-let drain (t : t) : unit = if not (Simos.Sched.running t.sched) then pump t
+let drain (t : t) : unit =
+  if not (Simos.Sched.running t.sched) then while pump t do () done
 
 (** Requests submitted but not yet completed. *)
 let in_flight (t : t) : int = t.inflight
@@ -1102,11 +1054,7 @@ let await (t : t) (tk : ticket) : response =
         match job.joutcome with
         | Some _ -> deliver t tk job
         | None ->
-            if Simos.Sched.step t.sched then loop ()
-            else if t.place_q <> [] then begin
-              flush_place t;
-              loop ()
-            end
+            if pump t then loop ()
             else fail "pipeline stalled awaiting ticket %d" tk
       in
       loop ()

@@ -125,8 +125,6 @@ val impact_diff : t -> string -> Analysis.Impact.diff option
     incremental-vs-from-scratch differential oracle flips. *)
 val set_subtree_reuse : t -> bool -> unit
 
-val subtree_reuse : t -> bool
-
 (** Result-returning twin of the evaluation environment's name
     resolution, for the symbol-flow analyzer (which must never
     raise). *)

@@ -175,6 +175,7 @@ let run ?(setup = fun (_ : World.t) -> ()) ?(on_event = fun (_ : event) -> ())
         (p, b.Server.entry.Cache.image))
   in
   Telemetry.reset ();
+  let was_tracing = Telemetry.is_enabled () in
   Telemetry.set_enabled true;
   (* xorshift32: small, pure, and byte-identical across runs *)
   let state = ref (if spec.seed = 0 then 0x9e3779b9 else spec.seed land 0xffffffff) in
@@ -198,10 +199,14 @@ let run ?(setup = fun (_ : World.t) -> ()) ?(on_event = fun (_ : event) -> ())
   (* admission control: only raise the configured queue limit when the
      pipeline depth actually needs it — never lower it — and restore
      the configured value when the run ends, so a scenario can't
-     silently mask Overload for whoever uses the server next *)
+     silently mask Overload for whoever uses the server next; span
+     recording likewise returns to the caller's setting *)
   let orig_limit = Server.queue_limit s in
   if spec.concurrency > orig_limit then Server.set_queue_limit s spec.concurrency;
-  let restore () = Server.set_queue_limit s orig_limit in
+  let restore () =
+    Server.set_queue_limit s orig_limit;
+    Telemetry.set_enabled was_tracing
+  in
   let events = ref [] in
   let emit ev =
     on_event ev;

@@ -1,48 +1,27 @@
 (** Deterministic cooperative run queue (see sched.mli). *)
 
-type task = { label : string; queued_at : float; run : unit -> unit }
-
 type t = {
-  mutable queue : task list; (* newest-first; drained via rev *)
-  mutable ready : task list; (* oldest-first tail being consumed *)
-  mutable idle_hooks : (unit -> bool) list; (* installation order *)
+  mutable queue : (unit -> unit) list; (* newest-first; drained via rev *)
+  mutable ready : (unit -> unit) list; (* oldest-first tail being consumed *)
   mutable seed : int;
   mutable rng : int;
-  mutable executed : int;
   mutable in_step : bool;
-  mutable now : unit -> float; (* spawn/dispatch timestamps *)
-  mutable on_dispatch :
-    (label:string -> queued_us:float -> started_us:float -> unit) option;
 }
 
 let create ?(seed = 0) () =
   {
     queue = [];
     ready = [];
-    idle_hooks = [];
     seed;
     rng = (if seed = 0 then 0 else seed land 0xffffffff);
-    executed = 0;
     in_step = false;
-    now = (fun () -> 0.0);
-    on_dispatch = None;
   }
-
-let set_time_source (t : t) (now : unit -> float) : unit = t.now <- now
-let set_on_dispatch (t : t) hook : unit = t.on_dispatch <- hook
 
 let set_seed (t : t) (seed : int) : unit =
   t.seed <- seed;
   t.rng <- (if seed = 0 then 0 else seed land 0xffffffff)
 
-let spawn (t : t) ?(label = "task") (run : unit -> unit) : unit =
-  t.queue <- { label; queued_at = t.now (); run } :: t.queue
-
-let on_idle (t : t) (hook : unit -> bool) : unit =
-  t.idle_hooks <- t.idle_hooks @ [ hook ]
-
-let pending (t : t) : int = List.length t.queue + List.length t.ready
-let steps (t : t) : int = t.executed
+let spawn (t : t) (run : unit -> unit) : unit = t.queue <- run :: t.queue
 let running (t : t) : bool = t.in_step
 
 (* xorshift32, the same generator the workload driver uses. *)
@@ -57,7 +36,7 @@ let rand (t : t) (bound : int) : int =
 
 (* Pull the next task honouring the order discipline; [None] when both
    lists are empty. *)
-let take (t : t) : task option =
+let take (t : t) : (unit -> unit) option =
   (if t.ready = [] then begin
      t.ready <- List.rev t.queue;
      t.queue <- []
@@ -79,30 +58,11 @@ let take (t : t) : task option =
         Some picked
       end
 
-let rec step (t : t) : bool =
+let step (t : t) : bool =
   match take t with
-  | Some task ->
-      t.executed <- t.executed + 1;
-      (match t.on_dispatch with
-      | Some hook ->
-          hook ~label:task.label ~queued_us:task.queued_at
-            ~started_us:(t.now ())
-      | None -> ());
+  | Some run ->
       let was = t.in_step in
       t.in_step <- true;
-      Fun.protect ~finally:(fun () -> t.in_step <- was) task.run;
+      Fun.protect ~finally:(fun () -> t.in_step <- was) run;
       true
-  | None ->
-      (* quiescent run queue: let the idle hooks (batch barriers)
-         schedule more work *)
-      let rec fire = function
-        | [] -> false
-        | h :: rest -> if h () then true else fire rest
-      in
-      if fire t.idle_hooks then step t else false
-
-let drain (t : t) : unit =
-  if not t.in_step then
-    while step t do
-      ()
-    done
+  | None -> false

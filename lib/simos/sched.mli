@@ -1,23 +1,20 @@
-(** A deterministic cooperative scheduler for the server's staged
+(** A deterministic cooperative run queue for the server's staged
     request pipeline.
 
-    Tasks are plain thunks queued on a run queue; {!drain} runs them to
-    completion on the caller's (simulated) time line — there is no
-    preemption and no wall-clock anywhere, so a run is exactly as
-    deterministic as the tasks themselves. A task that wants to
-    continue later simply {!spawn}s its continuation.
+    Tasks are plain thunks; {!step} runs one to completion on the
+    caller's (simulated) time line — there is no preemption and no
+    wall-clock anywhere, so a run is exactly as deterministic as the
+    tasks themselves. A task that wants to continue later simply
+    {!spawn}s its continuation. The queue knows nothing about what a
+    task is: the server stamps, labels and times its own stages, and
+    runs its place barrier when {!step} finds nothing to run.
 
     Two orders are available:
 
     - seed [0] (the default): strict FIFO — tasks run in spawn order.
     - seed [<> 0]: a seeded xorshift32 picks among the ready tasks, so
       tests can exercise interleavings other than submission order
-      while staying byte-reproducible for a given seed.
-
-    Idle hooks ({!on_idle}) model batching barriers: when the run queue
-    empties, each hook in turn may schedule more work (the server's
-    placement stage parks requests and flushes them as one batch from
-    its hook). *)
+      while staying byte-reproducible for a given seed. *)
 
 type t
 
@@ -28,42 +25,12 @@ val create : ?seed:int -> unit -> t
 (** Reseed an existing scheduler (takes effect from the next pick). *)
 val set_seed : t -> int -> unit
 
-(** Install the clock read used to timestamp {!spawn}s and dispatches
-    (default: a constant [0.0] — delays then read as zero). The server
-    points this at its simulated clock. *)
-val set_time_source : t -> (unit -> float) -> unit
+(** Enqueue a task. *)
+val spawn : t -> (unit -> unit) -> unit
 
-(** Observe every dispatch: fired just before a task runs, with the
-    task's label, the time it was spawned, and the time it started —
-    the gap is the scheduler dispatch delay, one of the typed blocking
-    edges of the causal latency graph. [None] (default) disables the
-    hook. Purely observational: no simulated cost is charged. *)
-val set_on_dispatch :
-  t -> (label:string -> queued_us:float -> started_us:float -> unit) option -> unit
-
-(** Enqueue a task. [label] is carried for diagnostics. *)
-val spawn : t -> ?label:string -> (unit -> unit) -> unit
-
-(** Install an idle hook, called when the run queue is empty; it
-    returns [true] if it scheduled more work. Hooks fire in
-    installation order; the first one that returns [true] ends the
-    idle round. *)
-val on_idle : t -> (unit -> bool) -> unit
-
-(** Run one ready task (consulting idle hooks if the queue is empty).
-    Returns [false] when nothing ran — the scheduler is quiescent. *)
+(** Run one ready task. Returns [false] when nothing ran — the queue
+    is empty. *)
 val step : t -> bool
 
-(** Run until quiescent (no ready tasks and no idle hook makes more).
-    Reentrant calls (from inside a task) return immediately — the
-    outer drain is already running the queue. *)
-val drain : t -> unit
-
-(** Ready tasks currently queued. *)
-val pending : t -> int
-
-(** Tasks executed since creation. *)
-val steps : t -> int
-
-(** Is a {!drain}/{!step} currently executing a task? *)
+(** Is a {!step} currently executing a task? *)
 val running : t -> bool

@@ -90,4 +90,3 @@ val op_br : int
 val max_opcode : int
 val opcode : instr -> int
 val imm_offset : int
-val mnemonic : instr -> string

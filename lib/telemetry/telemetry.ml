@@ -10,9 +10,14 @@
 
     Design points:
 
-    - One global collector. The simulation is single-threaded and a
-      process hosts one "world" at a time; a global sink keeps
-      instrumentation call sites to a single line.
+    - Process-wide recorders, one request context. The metrics
+      registry, span list, flight ring and windows are process-wide (the
+      simulation is single-threaded and a process hosts one "world" at a
+      time, so instrumentation call sites stay one line). Everything
+      that belongs to one request — its [(client, id)] attribution, its
+      binding journal, its open park and wait totals, its causal record
+      — lives on that request's {!Request.ctx}; the innermost open
+      context is what every recorder stamps or records into.
     - Counters/gauges/histograms are {e always on} (a few word writes).
       Spans are recorded only while {!set_enabled}[ true], so steady-state
       benchmarks pay nothing for the tracing machinery.
@@ -51,12 +56,583 @@ let completed : span list ref = ref [] (* reverse completion order *)
 let set_enabled b = enabled := b
 let is_enabled () = !enabled
 
-let set_clock f =
-  clock := f;
-  (* flight-recorder timestamps follow the same time source *)
-  Flight.set_clock f
-
+let set_clock f = clock := f
 let now_us () = !clock ()
+
+(* -- JSON ------------------------------------------------------------------- *)
+
+(** A deliberately small JSON reader/writer: enough to emit the two
+    export formats with correct escaping and to parse them back for
+    validation (tests, [ofe trace]) without an external dependency. *)
+module Json = struct
+  type t =
+    | Null
+    | Bool of bool
+    | Num of float
+    | Str of string
+    | Arr of t list
+    | Obj of (string * t) list
+
+  exception Parse_error of string
+
+  (* -- writing -- *)
+
+  let escape (s : string) : string =
+    let b = Buffer.create (String.length s + 2) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.contents b
+
+  let number (f : float) : string =
+    if Float.is_integer f && Float.abs f < 1e15 then
+      Printf.sprintf "%.0f" f
+    else Printf.sprintf "%.6g" f
+
+  let rec to_string (j : t) : string =
+    match j with
+    | Null -> "null"
+    | Bool b -> if b then "true" else "false"
+    | Num f -> number f
+    | Str s -> "\"" ^ escape s ^ "\""
+    | Arr xs -> "[" ^ String.concat "," (List.map to_string xs) ^ "]"
+    | Obj kvs ->
+        "{"
+        ^ String.concat ","
+            (List.map (fun (k, v) -> "\"" ^ escape k ^ "\":" ^ to_string v) kvs)
+        ^ "}"
+
+  (* -- parsing -- *)
+
+  let parse (src : string) : t =
+    let n = String.length src in
+    let pos = ref 0 in
+    let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
+    let peek () = if !pos < n then Some src.[!pos] else None in
+    let advance () = incr pos in
+    let rec skip_ws () =
+      match peek () with
+      | Some (' ' | '\t' | '\n' | '\r') -> advance (); skip_ws ()
+      | _ -> ()
+    in
+    let expect c =
+      match peek () with
+      | Some c' when c' = c -> advance ()
+      | _ -> fail (Printf.sprintf "expected %c" c)
+    in
+    let literal word v =
+      if !pos + String.length word <= n && String.sub src !pos (String.length word) = word
+      then begin pos := !pos + String.length word; v end
+      else fail ("bad literal, wanted " ^ word)
+    in
+    let parse_string () =
+      expect '"';
+      let b = Buffer.create 16 in
+      let rec loop () =
+        if !pos >= n then fail "unterminated string";
+        let c = src.[!pos] in
+        advance ();
+        if c = '"' then Buffer.contents b
+        else if c = '\\' then begin
+          (if !pos >= n then fail "unterminated escape");
+          let e = src.[!pos] in
+          advance ();
+          (match e with
+          | '"' -> Buffer.add_char b '"'
+          | '\\' -> Buffer.add_char b '\\'
+          | '/' -> Buffer.add_char b '/'
+          | 'n' -> Buffer.add_char b '\n'
+          | 'r' -> Buffer.add_char b '\r'
+          | 't' -> Buffer.add_char b '\t'
+          | 'b' -> Buffer.add_char b '\b'
+          | 'f' -> Buffer.add_char b '\012'
+          | 'u' ->
+              if !pos + 4 > n then fail "bad \\u escape";
+              let hex = String.sub src !pos 4 in
+              pos := !pos + 4;
+              let code = int_of_string ("0x" ^ hex) in
+              (* keep it simple: only BMP code points below 0x80 decode
+                 to themselves; others round-trip as '?' *)
+              Buffer.add_char b (if code < 0x80 then Char.chr code else '?')
+          | _ -> fail "bad escape");
+          loop ()
+        end
+        else begin Buffer.add_char b c; loop () end
+      in
+      loop ()
+    in
+    let parse_number () =
+      let start = !pos in
+      let is_num_char c =
+        (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
+      in
+      while (match peek () with Some c when is_num_char c -> true | _ -> false) do
+        advance ()
+      done;
+      if !pos = start then fail "expected a number";
+      match float_of_string_opt (String.sub src start (!pos - start)) with
+      | Some f -> f
+      | None -> fail "malformed number"
+    in
+    let rec parse_value () =
+      skip_ws ();
+      match peek () with
+      | None -> fail "unexpected end of input"
+      | Some '"' -> Str (parse_string ())
+      | Some 't' -> literal "true" (Bool true)
+      | Some 'f' -> literal "false" (Bool false)
+      | Some 'n' -> literal "null" Null
+      | Some '[' ->
+          advance ();
+          skip_ws ();
+          if peek () = Some ']' then begin advance (); Arr [] end
+          else begin
+            let rec items acc =
+              let v = parse_value () in
+              skip_ws ();
+              match peek () with
+              | Some ',' -> advance (); items (v :: acc)
+              | Some ']' -> advance (); List.rev (v :: acc)
+              | _ -> fail "expected ',' or ']'"
+            in
+            Arr (items [])
+          end
+      | Some '{' ->
+          advance ();
+          skip_ws ();
+          if peek () = Some '}' then begin advance (); Obj [] end
+          else begin
+            let rec members acc =
+              skip_ws ();
+              let k = parse_string () in
+              skip_ws ();
+              expect ':';
+              let v = parse_value () in
+              skip_ws ();
+              match peek () with
+              | Some ',' -> advance (); members ((k, v) :: acc)
+              | Some '}' -> advance (); List.rev ((k, v) :: acc)
+              | _ -> fail "expected ',' or '}'"
+            in
+            Obj (members [])
+          end
+      | Some _ -> Num (parse_number ())
+    in
+    let v = parse_value () in
+    skip_ws ();
+    if !pos <> n then fail "trailing garbage";
+    v
+
+  let member (key : string) (j : t) : t option =
+    match j with Obj kvs -> List.assoc_opt key kvs | _ -> None
+end
+
+(* -- causal latency graph ---------------------------------------------------- *)
+
+(** The per-run causal event graph behind [ofe blame]: for every
+    pipeline request, the stage segments it executed (start/end on the
+    simulated clock) and the typed blocking edges that kept it off the
+    scheduler — queue admission, the park at the place boundary until
+    [flush_place], a coalesced follower waiting on its leader, and raw
+    scheduler dispatch delay. The deterministic clock makes the record
+    exact, not sampled: a completed request's segments and waits tile
+    the interval from submission to completion with no unattributed
+    time ([Omos.Blame] extracts critical paths and replays
+    counterfactuals from this store). Recording is off by default and
+    charges nothing to the simulated clock. A request's record hangs
+    off its {!Request.ctx}, which is where the recording hooks write;
+    the store only lists the records for {!requests}. *)
+module Causal = struct
+  (** Why a request was off the scheduler between two of its stage
+      segments. *)
+  type wait_kind =
+    | Queue  (** admission: submitted, first stage not yet dispatched *)
+    | Batch  (** parked at the place boundary until [flush_place] *)
+    | Coalesce  (** follower waiting on its leader's build *)
+    | Sched  (** dispatch delay: spawned, waiting for the run queue *)
+
+  type segment = {
+    g_stage : string;
+    g_t0 : float;
+    g_t1 : float;
+    g_self : float;
+        (** the request's own work within the segment — equals
+            [g_t1 -. g_t0] except for the shared batched-place segment,
+            where it is just this member's solve *)
+  }
+
+  type wait = {
+    w_kind : wait_kind;
+    w_from : float;
+    w_until : float;
+    w_on : int;  (** request id waited on (coalesce leader), [-1] none *)
+  }
+
+  type dispatch = { d_stage : string; d_queued : float; d_started : float }
+
+  type req = {
+    g_id : int;
+    g_client : int;
+    g_target : string;
+    g_submit : float;
+    mutable g_segments : segment list;  (** newest-first while recording *)
+    mutable g_waits : wait list;  (** resolved parks, newest-first *)
+    mutable g_dispatches : dispatch list;  (** newest-first *)
+    mutable g_done : float option;
+        (** completion point — the map-stage start, where the server
+            seals [sim_us]; [None] while in flight or failed *)
+    mutable g_sim_us : float;
+    mutable g_hit : bool;
+    mutable g_solver_us : float;
+        (** shared solver overhead of the flush that placed this
+            request (the batch's one [place_solve] charge), [0] when
+            placed singly *)
+  }
+
+  let enabled = ref false
+  let set_enabled (b : bool) : unit = enabled := b
+  let is_enabled () : bool = !enabled
+
+  let store : (int, req) Hashtbl.t = Hashtbl.create 64
+  let find (id : int) : req option = Hashtbl.find_opt store id
+
+  (** Every recorded request, in submission (= id) order. Segments,
+      waits and dispatches come back chronological. *)
+  let requests () : req list =
+    Hashtbl.fold (fun _ r acc -> r :: acc) store []
+    |> List.sort (fun a b -> compare a.g_id b.g_id)
+    |> List.map (fun r ->
+           {
+             r with
+             (* stable: consecutive zero-cost stages share one clock
+                stamp, and their recorded (execution) order is what the
+                blame replay walks *)
+             g_segments =
+               List.stable_sort
+                 (fun a b -> compare (a.g_t0, a.g_t1) (b.g_t0, b.g_t1))
+                 (List.rev r.g_segments);
+             g_waits =
+               List.stable_sort
+                 (fun a b -> compare (a.w_from, a.w_until) (b.w_from, b.w_until))
+                 (List.rev r.g_waits);
+             g_dispatches = List.rev r.g_dispatches;
+           })
+
+  let reset_state () : unit = Hashtbl.reset store
+end
+
+(* -- binding provenance ------------------------------------------------------ *)
+
+(* The binding journal's data and its pure views; {!Provenance} (after
+   {!Request}, whose contexts own the journals) adds the recording
+   hooks. *)
+module Journal = struct
+  type event =
+    | Op of { op : string; detail : string }
+        (** a module operator was applied (merge, override, rename, …) *)
+    | Sym of {
+        op : string;
+        symbol : string;
+        prior : string option;  (** previous name, for renames *)
+        action : string;
+      }  (** what an operator did to one symbol *)
+    | Bind of { symbol : string; addr : int; frag : string; via : string }
+        (** final link-time binding: the winning definition *)
+    | Interpose of { symbol : string; winner : string; loser : string; how : string }
+        (** a definition shadowed another at link time *)
+    | Reloc of { section : string; count : int }
+        (** relocations applied per section *)
+    | Lint of { code : string; severity : string; path : string; message : string }
+        (** a pre-link diagnostic the analyzer attached at registration *)
+    | Coalesced of { leader_request : int }
+        (** a concurrent request for the same construction coalesced
+            onto this in-flight build instead of building again *)
+    | Reused of { digest : string }
+        (** a subtree was answered from the per-node memo table — its
+            interface digest proved it link-equivalent to an earlier
+            materialization, so no operator ran for it *)
+
+  type t = {
+    p_key : string;  (** construction digest (the cache key) *)
+    p_ops : string list;  (** operator chain, application order *)
+    p_events : event list;  (** journal, chronological *)
+    p_text_base : int;
+    p_data_base : int;
+    p_placement : string;  (** human-readable placement decision *)
+    p_generation : int;  (** cache generation at insertion *)
+    mutable p_transitions : (float * string) list;
+        (** residency transitions (sim us, state), chronological *)
+  }
+
+  let prov_enabled = ref false
+  let set_enabled b = prov_enabled := b
+  let is_enabled () = !prov_enabled
+
+  (** Append a residency transition (entries are long-lived; the
+      residency layer calls this on every state change). *)
+  let transition (p : t) ~(at : float) (state : string) : unit =
+    p.p_transitions <- p.p_transitions @ [ (at, state) ]
+
+  let event_to_string : event -> string = function
+    | Op { op; detail } -> Printf.sprintf "op %s %s" op detail
+    | Sym { op; symbol; prior; action } ->
+        Printf.sprintf "sym %s %s%s: %s" op symbol
+          (match prior with Some p -> " (was " ^ p ^ ")" | None -> "")
+          action
+    | Bind { symbol; addr; frag; via } ->
+        Printf.sprintf "bind %s @ 0x%08x in %s (%s)" symbol addr frag via
+    | Interpose { symbol; winner; loser; how } ->
+        Printf.sprintf "interpose %s: %s over %s (%s)" symbol winner loser how
+    | Reloc { section; count } -> Printf.sprintf "relocs %s: %d" section count
+    | Lint { code; severity; path; message } ->
+        Printf.sprintf "lint %s %s at %s: %s" severity code path message
+    | Coalesced { leader_request } ->
+        Printf.sprintf "coalesced: served by in-flight request %d" leader_request
+    | Reused { digest } ->
+        Printf.sprintf "reused subtree %s (memoized materialization)" digest
+
+  (* The names [symbol] has carried: follow rename links backwards so a
+     query for the exported name also surfaces decisions recorded under
+     the names it was derived from. *)
+  let names_for (p : t) (symbol : string) : string list =
+    let rec close acc =
+      let extra =
+        List.filter_map
+          (function
+            | Sym { symbol = s; prior = Some old; _ }
+              when List.mem s acc && not (List.mem old acc) ->
+                Some old
+            | _ -> None)
+          p.p_events
+      in
+      match List.sort_uniq compare extra with
+      | [] -> acc
+      | extra -> close (acc @ extra)
+    in
+    close [ symbol ]
+
+  (** Journal events involving [symbol] (under any of its past names),
+      chronological. *)
+  let events_for (p : t) (symbol : string) : event list =
+    let names = names_for p symbol in
+    List.filter
+      (function
+        | Sym { symbol = s; _ } | Bind { symbol = s; _ }
+        | Interpose { symbol = s; _ } ->
+            List.mem s names
+        | Op _ | Reloc _ | Lint _ | Coalesced _ | Reused _ -> false)
+      p.p_events
+
+  (** Content digest of the construction provenance (transitions
+      excluded: they evolve over the entry's lifetime). *)
+  let digest (p : t) : string =
+    Digest.to_hex
+      (Digest.string
+         (String.concat "\n"
+            (p.p_key :: p.p_placement
+             :: Printf.sprintf "gen=%d text=0x%x data=0x%x" p.p_generation
+                  p.p_text_base p.p_data_base
+             :: (p.p_ops @ List.map event_to_string p.p_events))))
+
+  (* Digests of provenance captured this run, by owner name — what the
+     bench driver folds into BENCH_*.json. *)
+  let built : (string, string) Hashtbl.t = Hashtbl.create 16
+  let note_built ~(name : string) (p : t) : unit =
+    Hashtbl.replace built name (digest p)
+
+  let built_digests () : (string * string) list =
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) built [] |> List.sort compare
+
+  let event_json : event -> Json.t = function
+    | Op { op; detail } ->
+        Json.Obj
+          [ ("type", Json.Str "op"); ("op", Json.Str op);
+            ("detail", Json.Str detail) ]
+    | Sym { op; symbol; prior; action } ->
+        Json.Obj
+          ([ ("type", Json.Str "sym"); ("op", Json.Str op);
+             ("symbol", Json.Str symbol) ]
+          @ (match prior with
+            | Some p -> [ ("prior", Json.Str p) ]
+            | None -> [])
+          @ [ ("action", Json.Str action) ])
+    | Bind { symbol; addr; frag; via } ->
+        Json.Obj
+          [ ("type", Json.Str "bind"); ("symbol", Json.Str symbol);
+            ("addr", Json.Num (float_of_int addr)); ("frag", Json.Str frag);
+            ("via", Json.Str via) ]
+    | Interpose { symbol; winner; loser; how } ->
+        Json.Obj
+          [ ("type", Json.Str "interpose"); ("symbol", Json.Str symbol);
+            ("winner", Json.Str winner); ("loser", Json.Str loser);
+            ("how", Json.Str how) ]
+    | Reloc { section; count } ->
+        Json.Obj
+          [ ("type", Json.Str "reloc"); ("section", Json.Str section);
+            ("count", Json.Num (float_of_int count)) ]
+    | Lint { code; severity; path; message } ->
+        Json.Obj
+          [ ("type", Json.Str "lint"); ("code", Json.Str code);
+            ("severity", Json.Str severity); ("path", Json.Str path);
+            ("message", Json.Str message) ]
+    | Coalesced { leader_request } ->
+        Json.Obj
+          [ ("type", Json.Str "coalesced");
+            ("leader_request", Json.Num (float_of_int leader_request)) ]
+    | Reused { digest } ->
+        Json.Obj
+          [ ("type", Json.Str "reused"); ("digest", Json.Str digest) ]
+
+  let to_json (p : t) : Json.t =
+    Json.Obj
+      [ ("key", Json.Str p.p_key);
+        ("digest", Json.Str (digest p));
+        ("ops", Json.Arr (List.map (fun o -> Json.Str o) p.p_ops));
+        ("text_base", Json.Num (float_of_int p.p_text_base));
+        ("data_base", Json.Num (float_of_int p.p_data_base));
+        ("placement", Json.Str p.p_placement);
+        ("generation", Json.Num (float_of_int p.p_generation));
+        ("events", Json.Arr (List.map event_json p.p_events));
+        ("transitions",
+         Json.Arr
+           (List.map
+              (fun (at, state) ->
+                Json.Obj [ ("at_us", Json.Num at); ("state", Json.Str state) ])
+              p.p_transitions)) ]
+
+  let clear_state () : unit = Hashtbl.reset built
+end
+
+(* -- request contexts ---------------------------------------------------------- *)
+
+(* One open request's recording state: its attribution, its binding
+   journal, its open park and per-kind wait totals, and its causal
+   record. [ctx_stack] holds the open contexts, innermost first; every
+   recorder below stamps or records into its head. The operations live
+   in {!Request}. *)
+type ctx = {
+  r_client : int;
+  r_id : int;
+  r_kind : string;
+  mutable r_ops : string list;  (* journal operator chain, newest-first *)
+  mutable r_events : Journal.event list;  (* journal, newest-first *)
+  mutable r_park_kind : Causal.wait_kind;  (* the open park: why, *)
+  mutable r_park_at : float;  (* since when, *)
+  mutable r_park_on : int;  (* and on which request *)
+  mutable r_batch_us : float;  (* resolved waits, by kind *)
+  mutable r_coalesce_us : float;
+  r_causal : Causal.req option;  (* present while causal recording is on *)
+}
+
+let ctx_stack : ctx list ref = ref []
+
+(* -- flight recorder ------------------------------------------------------------ *)
+
+(** The flight recorder ring. Layout: parallel pre-allocated arrays
+    indexed by [total mod capacity]. Floats live in unboxed
+    [float array]s and the variant kinds are immediate values, so an
+    append writes seven slots and bumps the cursor — no allocation, no
+    branching beyond the modulo and the innermost context. Dumping
+    counts itself in the metrics registry, so {!Flight} adds that half
+    after {!Counter}. *)
+module Ring = struct
+  type kind =
+    | Request_begin
+    | Request_end
+    | Span_enter
+    | Span_exit
+    | Count
+    | Gauge_set
+    | Observe
+    | Transition
+    | Fault
+    | Violation
+    | Note
+
+  let kind_label = function
+    | Request_begin -> "request_begin"
+    | Request_end -> "request_end"
+    | Span_enter -> "span_enter"
+    | Span_exit -> "span_exit"
+    | Count -> "count"
+    | Gauge_set -> "gauge_set"
+    | Observe -> "observe"
+    | Transition -> "transition"
+    | Fault -> "fault"
+    | Violation -> "violation"
+    | Note -> "note"
+
+  let capacity = 4096
+
+  let at_us_a : float array = Array.make capacity 0.0
+  let value_a : float array = Array.make capacity 0.0
+  let kind_a : kind array = Array.make capacity Note
+  let name_a : string array = Array.make capacity ""
+  let detail_a : string array = Array.make capacity ""
+  let client_a : int array = Array.make capacity (-1)
+  let request_a : int array = Array.make capacity (-1)
+  let total = ref 0
+
+  let emit (kind : kind) (name : string) (detail : string) (value : float) :
+      unit =
+    let i = !total mod capacity in
+    at_us_a.(i) <- now_us ();
+    value_a.(i) <- value;
+    kind_a.(i) <- kind;
+    name_a.(i) <- name;
+    detail_a.(i) <- detail;
+    (match !ctx_stack with
+    | c :: _ ->
+        client_a.(i) <- c.r_client;
+        request_a.(i) <- c.r_id
+    | [] ->
+        client_a.(i) <- -1;
+        request_a.(i) <- -1);
+    incr total
+
+  let record ?(detail = "") ?(value = 0.0) (kind : kind) (name : string) : unit =
+    emit kind name detail value
+
+  let total_recorded () = !total
+  let size () = min !total capacity
+  let clear () = total := 0
+
+  type event = {
+    seq : int;
+    at_us : float;
+    kind : kind;
+    name : string;
+    detail : string;
+    value : float;
+    client : int;
+    request : int;
+  }
+
+  let events () : event list =
+    let n = size () in
+    List.init n (fun k ->
+        let seq = !total - n + k in
+        let i = seq mod capacity in
+        {
+          seq;
+          at_us = at_us_a.(i);
+          kind = kind_a.(i);
+          name = name_a.(i);
+          detail = detail_a.(i);
+          value = value_a.(i);
+          client = client_a.(i);
+          request = request_a.(i);
+        })
+end
 
 (* -- spans ----------------------------------------------------------------- *)
 
@@ -74,16 +650,16 @@ module Span = struct
       in
       (* spans opened inside a request carry its attribution *)
       let attrs =
-        let c = Flight.current_client () and r = Flight.current_request () in
-        if r < 0 then attrs
-        else attrs @ [ ("client", I c); ("request", I r) ]
+        match !ctx_stack with
+        | [] -> attrs
+        | c :: _ -> attrs @ [ ("client", I c.r_client); ("request", I c.r_id) ]
       in
       let s =
         { id = !next_id; parent; depth; name; start_us = now_us ();
           end_us = Float.nan; attrs }
       in
       open_stack := s :: !open_stack;
-      Flight.emit Flight.Span_enter name "" (float_of_int s.id);
+      Ring.emit Ring.Span_enter name "" (float_of_int s.id);
       Some s
     end
 
@@ -110,7 +686,7 @@ module Span = struct
           in
           open_stack := pop !open_stack;
           completed := s :: !completed;
-          Flight.emit Flight.Span_exit s.name "" (float_of_int s.id)
+          Ring.emit Ring.Span_exit s.name "" (float_of_int s.id)
         end
 end
 
@@ -241,7 +817,7 @@ module Counter = struct
 
   let incr ?(by = 1) (c : t) : unit =
     c.count <- c.count + by;
-    Flight.emit Flight.Count c.c_name "" (float_of_int by)
+    Ring.emit Ring.Count c.c_name "" (float_of_int by)
 
   let value (c : t) : int = c.count
   let get (name : string) : int = (make name).count
@@ -252,7 +828,7 @@ module Gauge = struct
 
   let set (name : string) (v : float) : unit =
     Hashtbl.replace registry name v;
-    Flight.emit Flight.Gauge_set name "" v
+    Ring.emit Ring.Gauge_set name "" v
 
   let get (name : string) : float option = Hashtbl.find_opt registry name
 end
@@ -293,7 +869,7 @@ module Histogram = struct
         h
 
   let observe (h : t) (v : float) : unit =
-    Flight.emit Flight.Observe h.h_name "" v;
+    Ring.emit Ring.Observe h.h_name "" v;
     h.n <- h.n + 1;
     h.sum <- h.sum +. v;
     if v < h.minv then h.minv <- v;
@@ -331,20 +907,82 @@ module Histogram = struct
     end
 end
 
-(* Count flight-recorder dumps, labeled by cause: flight.ml sits below
-   the metrics registry in the module graph, so it reports each dump
-   through this hook instead of incrementing counters itself. The cause
-   label is the first word of the dump reason ("fault", "overload",
-   "ofe", ...). *)
-let () =
-  Flight.set_on_dump (fun reason ->
-      let cause =
-        match String.index_opt reason ' ' with
-        | Some i -> String.sub reason 0 i
-        | None -> reason
-      in
-      Counter.incr (Counter.make "flight.dumps");
-      if cause <> "" then Counter.incr (Counter.make ("flight.dumps." ^ cause)))
+(* The flight recorder's dump half: a dump writes the ring as JSON
+   events and as a transcript, and counts itself by cause (the first
+   word of the reason: "fault", "overload", "ofe", ...). *)
+module Flight = struct
+  include Ring
+
+  let to_json_events ~(reason : string) : string =
+    let b = Buffer.create 4096 in
+    Buffer.add_string b
+      (Printf.sprintf
+         "{\"type\":\"flight_dump\",\"reason\":\"%s\",\"recorded\":%d,\"retained\":%d,\"capacity\":%d}\n"
+         (Json.escape reason) !total (size ()) capacity);
+    List.iter
+      (fun e ->
+        Buffer.add_string b
+          (Printf.sprintf
+             "{\"type\":\"flight\",\"seq\":%d,\"at_us\":%s,\"kind\":\"%s\",\"name\":\"%s\",\"detail\":\"%s\",\"value\":%s,\"client\":%d,\"request\":%d}\n"
+             e.seq (Json.number e.at_us) (kind_label e.kind)
+             (Json.escape e.name) (Json.escape e.detail) (Json.number e.value)
+             e.client e.request))
+      (events ());
+    Buffer.contents b
+
+  let to_transcript ~(reason : string) : string =
+    let b = Buffer.create 4096 in
+    Buffer.add_string b
+      (Printf.sprintf "# flight recorder: reason=%s events=%d..%d (%d recorded)\n"
+         reason
+         (!total - size ())
+         (!total - 1)
+         !total);
+    List.iter
+      (fun e ->
+        Buffer.add_string b
+          (Printf.sprintf "%06d at=%.1fus client=%d request=%d %-13s %s%s%s\n"
+             e.seq e.at_us e.client e.request (kind_label e.kind) e.name
+             (if e.detail = "" then "" else " " ^ e.detail)
+             (if e.value = 0.0 then "" else Printf.sprintf " value=%g" e.value)))
+      (events ());
+    Buffer.contents b
+
+  let write_file (path : string) (contents : string) : unit =
+    let oc = open_out path in
+    output_string oc contents;
+    close_out oc
+
+  let dump ~(reason : string) ~(prefix : string) : unit =
+    write_file (prefix ^ ".json") (to_json_events ~reason);
+    write_file (prefix ^ ".txt") (to_transcript ~reason);
+    let cause =
+      match String.index_opt reason ' ' with
+      | Some i -> String.sub reason 0 i
+      | None -> reason
+    in
+    Counter.incr (Counter.make "flight.dumps");
+    if cause <> "" then Counter.incr (Counter.make ("flight.dumps." ^ cause))
+
+  let auto : string option ref = ref None
+  let set_auto_dump p = auto := p
+  let auto_dump_prefix () = !auto
+
+  let trip ~(reason : string) () : bool =
+    match !auto with
+    | Some prefix when !total > 0 ->
+        record Note reason;
+        dump ~reason ~prefix;
+        true
+    | _ -> false
+
+  let record_fault (name : string) : unit =
+    record Fault name;
+    ignore (trip ~reason:("fault " ^ name) ())
+
+  let record_violation ~(name : string) ~(detail : string) : unit =
+    record ~detail Violation name
+end
 
 (* -- continuous hotness profiling -------------------------------------------- *)
 
@@ -556,115 +1194,190 @@ end
 
 (* -- request attribution ----------------------------------------------------- *)
 
-(** Request-scoped attribution. The server is persistent and serves
-    many clients (paper §2, §4.1): every entry point — instantiate,
-    exec, dynload, evict — opens a request here, which assigns a
-    monotonic request id, inherits (or sets) the client id, and pushes
-    the pair into the flight-recorder context so every span, counter
-    increment, transition, and fault recorded underneath carries
-    [(client, request)]. Requests nest (a specializer may instantiate a
-    library mid-request); ids stay monotonic across the nesting. *)
+(** Request-scoped attribution and recording. The server is persistent
+    and serves many clients (paper §2, §4.1): every entry point —
+    instantiate, exec, dynload, evict — opens a request here, which
+    assigns a monotonic request id, inherits (or sets) the client id,
+    and pushes its context, so every span, counter increment,
+    transition, and fault recorded underneath carries
+    [(client, request)] and every journal event lands in that request's
+    journal. Requests nest (a specializer may instantiate a library
+    mid-request); ids stay monotonic across the nesting. *)
 module Request = struct
-  type ctx = { client : int; id : int; kind : string }
+  type nonrec ctx = ctx
 
   let next = ref 0
   let ambient_client = ref 0
-  let stack : ctx list ref = ref []
 
   (** Set the ambient client id inherited by requests opened outside
       any enclosing request (a driver sets this before each simulated
       client's operation). *)
   let set_client (c : int) : unit = ambient_client := c
 
-  let current_client () = match !stack with x :: _ -> x.client | [] -> -1
-
-  (** The client id a request opened right now would inherit: the
-      innermost open request's, else the ambient one. *)
-  let effective_client () =
-    match !stack with x :: _ -> x.client | [] -> !ambient_client
-  let current_request () = match !stack with x :: _ -> x.id | [] -> -1
-  let active () = !stack <> []
+  let current_client () = match !ctx_stack with x :: _ -> x.r_client | [] -> -1
+  let current_request () = match !ctx_stack with x :: _ -> x.r_id | [] -> -1
 
   (** The most recently assigned request id, [-1] if none yet. *)
   let last_id () = !next - 1
 
-  let sync_flight () =
-    match !stack with
-    | x :: _ -> Flight.set_context ~client:x.client ~request:x.id
-    | [] -> Flight.clear_context ()
+  let id (c : ctx) : int = c.r_id
 
-  let begin_request ?client (kind : string) : int =
-    let c =
-      match client with
-      | Some c -> c
-      | None -> (
-          match !stack with x :: _ -> x.client | [] -> !ambient_client)
-    in
+  (* The client id a request opened right now inherits: the innermost
+     open request's, else the ambient one. *)
+  let inherited_client () =
+    match !ctx_stack with x :: _ -> x.r_client | [] -> !ambient_client
+
+  (* A fresh context with the next id, pushed, with its begin event
+     emitted under it. *)
+  let open_ctx ?client ?(causal : Causal.req option) (kind : string) : ctx =
     let id = !next in
     incr next;
-    stack := { client = c; id; kind } :: !stack;
-    sync_flight ();
+    let c =
+      {
+        r_client = Option.value client ~default:(inherited_client ());
+        r_id = id;
+        r_kind = kind;
+        r_ops = [];
+        r_events = [];
+        r_park_kind = Causal.Queue;
+        r_park_at = 0.0;
+        r_park_on = -1;
+        r_batch_us = 0.0;
+        r_coalesce_us = 0.0;
+        r_causal = causal;
+      }
+    in
+    ctx_stack := c :: !ctx_stack;
     Flight.emit Flight.Request_begin kind "" (float_of_int id);
-    id
+    c
 
   let end_request () : unit =
-    match !stack with
+    match !ctx_stack with
     | [] -> ()
     | x :: rest ->
-        Flight.emit Flight.Request_end x.kind "" (float_of_int x.id);
-        stack := rest;
-        sync_flight ()
+        Flight.emit Flight.Request_end x.r_kind "" (float_of_int x.r_id);
+        ctx_stack := rest
 
   (** Run [f] inside a fresh request of [kind] (ends on exceptions
       too). *)
   let with_request ?client (kind : string) (f : unit -> 'a) : 'a =
-    ignore (begin_request ?client kind);
+    ignore (open_ctx ?client kind);
     Fun.protect ~finally:end_request f
 
   (* -- detached requests (the staged pipeline) --
 
      A pipeline request is opened once at submission, then repeatedly
      resumed/suspended as its stages run interleaved with other
-     requests', and closed at completion — the id is assigned at
-     submission and survives across the stage boundaries. *)
+     requests', and closed at completion — the context, with its
+     journal, waits and causal record, survives across the stage
+     boundaries. *)
 
-  let pop () =
-    (match !stack with _ :: rest -> stack := rest | [] -> ());
-    sync_flight ()
+  let resume (c : ctx) : unit = ctx_stack := c :: !ctx_stack
 
-  (** Assign a request id and emit [Request_begin] without leaving the
-      request on the context stack. Returns the id (pair it with
-      {!resume}/{!suspend} around each stage and {!end_detached} at
-      completion). *)
-  let begin_detached ?client (kind : string) : int =
-    let id = begin_request ?client kind in
-    (* leave the stack as we found it; the flight event above carried
-       the right context *)
-    (match !stack with _ :: rest -> stack := rest | [] -> ());
-    sync_flight ();
-    id
+  let suspend () : unit =
+    match !ctx_stack with _ :: rest -> ctx_stack := rest | [] -> ()
 
-  (** Push an already-assigned request back onto the context stack (no
-      new id, no begin event) — everything recorded until the matching
-      {!suspend} carries [(client, id)]. *)
-  let resume ~(client : int) ~(id : int) (kind : string) : unit =
-    stack := { client; id; kind } :: !stack;
-    sync_flight ()
-
-  (** Pop the innermost context without emitting [Request_end]. *)
-  let suspend () : unit = pop ()
+  (** Open a request and emit its begin event without leaving it on the
+      context stack; while causal recording is on, it also gets a causal
+      record naming [target], submitted now. *)
+  let begin_detached ?client ~(target : string) (kind : string) : ctx =
+    let client = Option.value client ~default:(inherited_client ()) in
+    let causal =
+      if not (Causal.is_enabled ()) then None
+      else begin
+        let r =
+          {
+            Causal.g_id = !next;
+            g_client = client;
+            g_target = target;
+            g_submit = now_us ();
+            g_segments = [];
+            g_waits = [];
+            g_dispatches = [];
+            g_done = None;
+            g_sim_us = 0.0;
+            g_hit = false;
+            g_solver_us = 0.0;
+          }
+        in
+        Hashtbl.replace Causal.store r.Causal.g_id r;
+        Some r
+      end
+    in
+    let c = open_ctx ~client ?causal kind in
+    suspend ();
+    c
 
   (** Emit [Request_end] for a detached request. *)
-  let end_detached ~(client : int) ~(id : int) (kind : string) : unit =
-    resume ~client ~id kind;
-    Flight.emit Flight.Request_end kind "" (float_of_int id);
-    pop ()
+  let end_detached (c : ctx) : unit =
+    resume c;
+    end_request ()
+
+  (* -- waits -- *)
+
+  let park (c : ctx) (kind : Causal.wait_kind) ?(on = -1) ~(at : float) () :
+      unit =
+    c.r_park_kind <- kind;
+    c.r_park_at <- at;
+    c.r_park_on <- on
+
+  let unpark (c : ctx) ~(at : float) : unit =
+    let waited = Float.max 0.0 (at -. c.r_park_at) in
+    (match c.r_park_kind with
+    | Causal.Batch -> c.r_batch_us <- c.r_batch_us +. waited
+    | Causal.Coalesce -> c.r_coalesce_us <- c.r_coalesce_us +. waited
+    | Causal.Queue | Causal.Sched -> ());
+    match c.r_causal with
+    | Some r ->
+        r.Causal.g_waits <-
+          {
+            Causal.w_kind = c.r_park_kind;
+            w_from = c.r_park_at;
+            w_until = at;
+            w_on = c.r_park_on;
+          }
+          :: r.Causal.g_waits
+    | None -> ()
+
+  let batch_us (c : ctx) : float = c.r_batch_us
+  let coalesce_us (c : ctx) : float = c.r_coalesce_us
+
+  (* -- the causal record (no-ops without one) -- *)
+
+  let segment (c : ctx) ~(stage : string) ~(t0 : float) ~(t1 : float)
+      ?(self : float option) () : unit =
+    match c.r_causal with
+    | None -> ()
+    | Some r ->
+        let self = match self with Some s -> s | None -> t1 -. t0 in
+        r.Causal.g_segments <-
+          { Causal.g_stage = stage; g_t0 = t0; g_t1 = t1; g_self = self }
+          :: r.Causal.g_segments
+
+  let dispatched (c : ctx) ~(stage : string) ~(queued : float)
+      ~(started : float) : unit =
+    match c.r_causal with
+    | None -> ()
+    | Some r ->
+        r.Causal.g_dispatches <-
+          { Causal.d_stage = stage; d_queued = queued; d_started = started }
+          :: r.Causal.g_dispatches
+
+  let set_solver_us (c : ctx) (us : float) : unit =
+    match c.r_causal with None -> () | Some r -> r.Causal.g_solver_us <- us
+
+  let complete (c : ctx) ~(at : float) ~(sim_us : float) ~(hit : bool) : unit =
+    match c.r_causal with
+    | None -> ()
+    | Some r ->
+        r.Causal.g_done <- Some at;
+        r.Causal.g_sim_us <- sim_us;
+        r.Causal.g_hit <- hit
 
   let reset_state () =
     next := 0;
     ambient_client := 0;
-    stack := [];
-    Flight.clear_context ()
+    ctx_stack := []
 end
 
 (* -- rolling health --------------------------------------------------------- *)
@@ -887,470 +1600,36 @@ module Health = struct
   let reset_state () = total := 0
 end
 
-(* -- causal latency graph ---------------------------------------------------- *)
-
-(** The per-run causal event graph behind [ofe blame]: for every
-    pipeline request, the stage segments it executed (start/end on the
-    simulated clock) and the typed blocking edges that kept it off the
-    scheduler — queue admission, the park at the place boundary until
-    [flush_place], a coalesced follower waiting on its leader, and raw
-    scheduler dispatch delay. The deterministic clock makes the record
-    exact, not sampled: a completed request's segments and waits tile
-    the interval from submission to completion with no unattributed
-    time ([Omos.Blame] extracts critical paths and replays
-    counterfactuals from this store). Recording is off by default and
-    charges nothing to the simulated clock. *)
-module Causal = struct
-  (** Why a request was off the scheduler between two of its stage
-      segments. *)
-  type wait_kind =
-    | Queue  (** admission: submitted, first stage not yet dispatched *)
-    | Batch  (** parked at the place boundary until [flush_place] *)
-    | Coalesce  (** follower waiting on its leader's build *)
-    | Sched  (** dispatch delay: spawned, waiting for the run queue *)
-
-  let wait_kind_to_string = function
-    | Queue -> "queue"
-    | Batch -> "batch"
-    | Coalesce -> "coalesce"
-    | Sched -> "sched"
-
-  type segment = {
-    g_stage : string;
-    g_t0 : float;
-    g_t1 : float;
-    g_self : float;
-        (** the request's own work within the segment — equals
-            [g_t1 -. g_t0] except for the shared batched-place segment,
-            where it is just this member's solve *)
-  }
-
-  type wait = {
-    w_kind : wait_kind;
-    w_from : float;
-    w_until : float;
-    w_on : int;  (** request id waited on (coalesce leader), [-1] none *)
-  }
-
-  type dispatch = { d_stage : string; d_queued : float; d_started : float }
-
-  type req = {
-    g_id : int;
-    g_client : int;
-    g_target : string;
-    g_submit : float;
-    mutable g_segments : segment list;  (** newest-first while recording *)
-    mutable g_waits : wait list;  (** resolved parks, newest-first *)
-    mutable g_dispatches : dispatch list;  (** newest-first *)
-    mutable g_parked : (wait_kind * float * int) option;
-        (** an unresolved park: (kind, since, waited-on id) *)
-    mutable g_done : float option;
-        (** completion point — the map-stage start, where the server
-            seals [sim_us]; [None] while in flight or failed *)
-    mutable g_sim_us : float;
-    mutable g_hit : bool;
-    mutable g_solver_us : float;
-        (** shared solver overhead of the flush that placed this
-            request (the batch's one [place_solve] charge), [0] when
-            placed singly *)
-  }
-
-  let enabled = ref false
-  let set_enabled (b : bool) : unit = enabled := b
-  let is_enabled () : bool = !enabled
-
-  let store : (int, req) Hashtbl.t = Hashtbl.create 64
-
-  let begin_request ~(id : int) ~(client : int) ~(target : string)
-      ~(at : float) : unit =
-    if !enabled then
-      Hashtbl.replace store id
-        {
-          g_id = id;
-          g_client = client;
-          g_target = target;
-          g_submit = at;
-          g_segments = [];
-          g_waits = [];
-          g_dispatches = [];
-          g_parked = None;
-          g_done = None;
-          g_sim_us = 0.0;
-          g_hit = false;
-          g_solver_us = 0.0;
-        }
-
-  let find (id : int) : req option = Hashtbl.find_opt store id
-
-  let segment ~(id : int) ~(stage : string) ~(t0 : float) ~(t1 : float)
-      ?(self : float option) () : unit =
-    if !enabled then
-      match Hashtbl.find_opt store id with
-      | None -> ()
-      | Some r ->
-          let self = match self with Some s -> s | None -> t1 -. t0 in
-          r.g_segments <- { g_stage = stage; g_t0 = t0; g_t1 = t1; g_self = self }
-            :: r.g_segments
-
-  (** Start a typed wait: the request leaves the scheduler at [at]
-      (always the end of the stage that parked it). *)
-  let park ~(id : int) (kind : wait_kind) ?(on = -1) ~(at : float) () : unit =
-    if !enabled then
-      match Hashtbl.find_opt store id with
-      | None -> ()
-      | Some r -> r.g_parked <- Some (kind, at, on)
-
-  (** Resolve the pending park: the request became runnable at [at]. *)
-  let unpark ~(id : int) ~(at : float) () : unit =
-    if !enabled then
-      match Hashtbl.find_opt store id with
-      | None -> ()
-      | Some r -> (
-          match r.g_parked with
-          | None -> ()
-          | Some (kind, since, on) ->
-              r.g_parked <- None;
-              r.g_waits <-
-                { w_kind = kind; w_from = since; w_until = at; w_on = on }
-                :: r.g_waits)
-
-  let dispatched ~(id : int) ~(stage : string) ~(queued : float)
-      ~(started : float) : unit =
-    if !enabled then
-      match Hashtbl.find_opt store id with
-      | None -> ()
-      | Some r ->
-          r.g_dispatches <-
-            { d_stage = stage; d_queued = queued; d_started = started }
-            :: r.g_dispatches
-
-  let set_solver_us ~(id : int) (us : float) : unit =
-    if !enabled then
-      match Hashtbl.find_opt store id with
-      | None -> ()
-      | Some r -> r.g_solver_us <- us
-
-  let complete ~(id : int) ~(at : float) ~(sim_us : float) ~(hit : bool) () :
-      unit =
-    if !enabled then
-      match Hashtbl.find_opt store id with
-      | None -> ()
-      | Some r ->
-          r.g_done <- Some at;
-          r.g_sim_us <- sim_us;
-          r.g_hit <- hit
-
-  (** Every recorded request, in submission (= id) order. Segments,
-      waits and dispatches come back chronological. *)
-  let requests () : req list =
-    Hashtbl.fold (fun _ r acc -> r :: acc) store []
-    |> List.sort (fun a b -> compare a.g_id b.g_id)
-    |> List.map (fun r ->
-           {
-             r with
-             (* stable: consecutive zero-cost stages share one clock
-                stamp, and their recorded (execution) order is what the
-                blame replay walks *)
-             g_segments =
-               List.stable_sort
-                 (fun a b -> compare (a.g_t0, a.g_t1) (b.g_t0, b.g_t1))
-                 (List.rev r.g_segments);
-             g_waits =
-               List.stable_sort
-                 (fun a b -> compare (a.w_from, a.w_until) (b.w_from, b.w_until))
-                 (List.rev r.g_waits);
-             g_dispatches = List.rev r.g_dispatches;
-           })
-
-  let reset_state () : unit = Hashtbl.reset store
-end
-
-(* Metrics/spans part of {!reset}; the public [reset] (defined after
-   {!Provenance}) also clears profiler and provenance state. *)
-let reset_metrics_and_spans () : unit =
-  Hashtbl.iter (fun _ (c : Counter.t) -> c.Counter.count <- 0) Counter.registry;
-  Hashtbl.reset Gauge.registry;
-  Hashtbl.iter
-    (fun _ (h : Histogram.t) ->
-      h.Histogram.n <- 0;
-      h.Histogram.sum <- 0.0;
-      h.Histogram.minv <- infinity;
-      h.Histogram.maxv <- neg_infinity;
-      h.Histogram.filled <- 0;
-      h.Histogram.rng <- h.Histogram.seed)
-    Histogram.registry;
-  open_stack := [];
-  completed := [];
-  next_id := 0
-
-(* -- JSON ------------------------------------------------------------------- *)
-
-(** A deliberately small JSON reader/writer: enough to emit the two
-    export formats with correct escaping and to parse them back for
-    validation (tests, [ofe trace]) without an external dependency. *)
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  exception Parse_error of string
-
-  (* -- writing -- *)
-
-  let escape (s : string) : string =
-    let b = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\r' -> Buffer.add_string b "\\r"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
-  let number (f : float) : string =
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Printf.sprintf "%.0f" f
-    else Printf.sprintf "%.6g" f
-
-  let rec to_string (j : t) : string =
-    match j with
-    | Null -> "null"
-    | Bool b -> if b then "true" else "false"
-    | Num f -> number f
-    | Str s -> "\"" ^ escape s ^ "\""
-    | Arr xs -> "[" ^ String.concat "," (List.map to_string xs) ^ "]"
-    | Obj kvs ->
-        "{"
-        ^ String.concat ","
-            (List.map (fun (k, v) -> "\"" ^ escape k ^ "\":" ^ to_string v) kvs)
-        ^ "}"
-
-  (* -- parsing -- *)
-
-  let parse (src : string) : t =
-    let n = String.length src in
-    let pos = ref 0 in
-    let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-    let peek () = if !pos < n then Some src.[!pos] else None in
-    let advance () = incr pos in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') -> advance (); skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected %c" c)
-    in
-    let literal word v =
-      if !pos + String.length word <= n && String.sub src !pos (String.length word) = word
-      then begin pos := !pos + String.length word; v end
-      else fail ("bad literal, wanted " ^ word)
-    in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec loop () =
-        if !pos >= n then fail "unterminated string";
-        let c = src.[!pos] in
-        advance ();
-        if c = '"' then Buffer.contents b
-        else if c = '\\' then begin
-          (if !pos >= n then fail "unterminated escape");
-          let e = src.[!pos] in
-          advance ();
-          (match e with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | '/' -> Buffer.add_char b '/'
-          | 'n' -> Buffer.add_char b '\n'
-          | 'r' -> Buffer.add_char b '\r'
-          | 't' -> Buffer.add_char b '\t'
-          | 'b' -> Buffer.add_char b '\b'
-          | 'f' -> Buffer.add_char b '\012'
-          | 'u' ->
-              if !pos + 4 > n then fail "bad \\u escape";
-              let hex = String.sub src !pos 4 in
-              pos := !pos + 4;
-              let code = int_of_string ("0x" ^ hex) in
-              (* keep it simple: only BMP code points below 0x80 decode
-                 to themselves; others round-trip as '?' *)
-              Buffer.add_char b (if code < 0x80 then Char.chr code else '?')
-          | _ -> fail "bad escape");
-          loop ()
-        end
-        else begin Buffer.add_char b c; loop () end
-      in
-      loop ()
-    in
-    let parse_number () =
-      let start = !pos in
-      let is_num_char c =
-        (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-      in
-      while (match peek () with Some c when is_num_char c -> true | _ -> false) do
-        advance ()
-      done;
-      if !pos = start then fail "expected a number";
-      match float_of_string_opt (String.sub src start (!pos - start)) with
-      | Some f -> f
-      | None -> fail "malformed number"
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end of input"
-      | Some '"' -> Str (parse_string ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some '[' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some ']' then begin advance (); Arr [] end
-          else begin
-            let rec items acc =
-              let v = parse_value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' -> advance (); items (v :: acc)
-              | Some ']' -> advance (); List.rev (v :: acc)
-              | _ -> fail "expected ',' or ']'"
-            in
-            Arr (items [])
-          end
-      | Some '{' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some '}' then begin advance (); Obj [] end
-          else begin
-            let rec members acc =
-              skip_ws ();
-              let k = parse_string () in
-              skip_ws ();
-              expect ':';
-              let v = parse_value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' -> advance (); members ((k, v) :: acc)
-              | Some '}' -> advance (); List.rev ((k, v) :: acc)
-              | _ -> fail "expected ',' or '}'"
-            in
-            Obj (members [])
-          end
-      | Some _ -> Num (parse_number ())
-    in
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-
-  let member (key : string) (j : t) : t option =
-    match j with Obj kvs -> List.assoc_opt key kvs | _ -> None
-end
-
-(* -- binding provenance ------------------------------------------------------ *)
-
 (** The binding journal. While enabled, the linker and the jigsaw
-    operators record per-symbol decisions into the journal frame of the
-    build in flight; the server brackets each fresh build with
-    {!begin_build}/{!capture} and attaches the captured {!t} to the
+    operators record per-symbol decisions into the journal of the
+    innermost open request ({!Request.ctx}); the server captures a fresh
+    build's journal at link time and attaches the captured {!t} to the
     resulting cache entry, so a cached image can explain itself long
     after the link that produced it ([ofe explain]).
 
-    Frames form a stack because builds nest: a specializer may
-    instantiate a library in the middle of evaluating a client's
-    m-graph, and its journal must not leak into the outer build's.
+    A journal belongs to its request, so nested builds (a specializer
+    instantiating a library in the middle of evaluating a client's
+    m-graph) and interleaved pipeline stages never record into each
+    other's journals.
 
-    Recording is off by default ({!set_enabled}): when off,
-    {!begin_build}/{!capture} still bracket builds (entries always get a
-    provenance skeleton — key, placement, generation) but the per-symbol
-    event stream stays empty, so hot paths pay only a flag test. *)
+    Recording is off by default ({!set_enabled}): when off, captures
+    still produce a provenance skeleton (key, placement, generation)
+    but the per-symbol event stream stays empty, so hot paths pay only a
+    flag test. *)
 module Provenance = struct
-  type event =
-    | Op of { op : string; detail : string }
-        (** a module operator was applied (merge, override, rename, …) *)
-    | Sym of {
-        op : string;
-        symbol : string;
-        prior : string option;  (** previous name, for renames *)
-        action : string;
-      }  (** what an operator did to one symbol *)
-    | Bind of { symbol : string; addr : int; frag : string; via : string }
-        (** final link-time binding: the winning definition *)
-    | Interpose of { symbol : string; winner : string; loser : string; how : string }
-        (** a definition shadowed another at link time *)
-    | Reloc of { section : string; count : int }
-        (** relocations applied per section *)
-    | Lint of { code : string; severity : string; path : string; message : string }
-        (** a pre-link diagnostic the analyzer attached at registration *)
-    | Coalesced of { leader_request : int }
-        (** a concurrent request for the same construction coalesced
-            onto this in-flight build instead of building again *)
-    | Reused of { digest : string }
-        (** a subtree was answered from the per-node memo table — its
-            interface digest proved it link-equivalent to an earlier
-            materialization, so no operator ran for it *)
-
-  type t = {
-    p_key : string;  (** construction digest (the cache key) *)
-    p_ops : string list;  (** operator chain, application order *)
-    p_events : event list;  (** journal, chronological *)
-    p_text_base : int;
-    p_data_base : int;
-    p_placement : string;  (** human-readable placement decision *)
-    p_generation : int;  (** cache generation at insertion *)
-    mutable p_transitions : (float * string) list;
-        (** residency transitions (sim us, state), chronological *)
-  }
-
-  let prov_enabled = ref false
-  let set_enabled b = prov_enabled := b
-  let is_enabled () = !prov_enabled
-
-  type frame = { mutable ops : string list; mutable events : event list }
-  (* both newest-first *)
-
-  let frames : frame list ref = ref []
-
-  let begin_build () : unit = frames := { ops = []; events = [] } :: !frames
-
-  type open_frame = frame
-  (** A journal frame detached from the global stack: the pipeline
-      suspends a build's frame between stages so interleaved requests
-      never record into each other's journals. *)
-
-  let suspend_build () : open_frame =
-    match !frames with
-    | f :: rest ->
-        frames := rest;
-        f
-    | [] -> { ops = []; events = [] }
-
-  let resume_build (f : open_frame) : unit = frames := f :: !frames
+  include Journal
 
   let record_event (e : event) : unit =
     if !prov_enabled then
-      match !frames with [] -> () | f :: _ -> f.events <- e :: f.events
+      match !ctx_stack with [] -> () | c :: _ -> c.r_events <- e :: c.r_events
 
   let record_op ~(op : string) ~(detail : string) : unit =
     if !prov_enabled then
-      match !frames with
+      match !ctx_stack with
       | [] -> ()
-      | f :: _ ->
-          f.ops <- op :: f.ops;
-          f.events <- Op { op; detail } :: f.events
+      | c :: _ ->
+          c.r_ops <- op :: c.r_ops;
+          c.r_events <- Op { op; detail } :: c.r_events
 
   let record_sym ~(op : string) ~(symbol : string) ?prior (action : string) : unit
       =
@@ -1368,186 +1647,76 @@ module Provenance = struct
     if count > 0 then record_event (Reloc { section; count })
 
   (* Deliberately not [record_op]: findings join the journal without
-     perturbing the operator chain the explain command reports. *)
+     perturbing the operator chain the explain command reports. They
+     are registration-time facts about the meta, so they head the
+     journal: after earlier findings, ahead of anything else (a
+     follower may have coalesced onto the build before its lint stage
+     ran). *)
   let record_lint ~(code : string) ~(severity : string) ~(path : string)
       (message : string) : unit =
-    record_event (Lint { code; severity; path; message })
+    if !prov_enabled then
+      match !ctx_stack with
+      | [] -> ()
+      | c :: _ ->
+          let rec ahead = function
+            | (Lint _ :: _ | []) as older ->
+                Lint { code; severity; path; message } :: older
+            | e :: older -> e :: ahead older
+          in
+          c.r_events <- ahead c.r_events
 
-  (** A coalesced follower joined the innermost open build. *)
-  let record_coalesced ~(leader_request : int) : unit =
-    record_event (Coalesced { leader_request })
-
-  (** Same, into a suspended frame: followers usually coalesce while
-      the leader's frame is detached between stages. *)
-  let record_coalesced_into (f : open_frame) ~(leader_request : int) : unit =
-    if !prov_enabled then f.events <- Coalesced { leader_request } :: f.events
+  (** A coalesced follower is being served by [leader]'s build. *)
+  let record_coalesced (leader : ctx) : unit =
+    if !prov_enabled then
+      leader.r_events <-
+        Coalesced { leader_request = leader.r_id } :: leader.r_events
 
   (** A memoized subtree satisfied part of this build. *)
   let record_reused ~(digest : string) : unit =
     record_event (Reused { digest })
 
-  (** Close the innermost build frame into a provenance record. *)
+  (** Take the innermost request's journal into a provenance record. *)
   let capture ~(key : string) ~(text_base : int) ~(data_base : int)
       ~(placement : string) ~(generation : int) () : t =
-    let f, rest =
-      match !frames with
-      | [] -> ({ ops = []; events = [] }, [])
-      | f :: r -> (f, r)
+    let ops, events =
+      match !ctx_stack with
+      | [] -> ([], [])
+      | c :: _ ->
+          let j = (c.r_ops, c.r_events) in
+          c.r_ops <- [];
+          c.r_events <- [];
+          j
     in
-    frames := rest;
     {
       p_key = key;
-      p_ops = List.rev f.ops;
-      p_events = List.rev f.events;
+      p_ops = List.rev ops;
+      p_events = List.rev events;
       p_text_base = text_base;
       p_data_base = data_base;
       p_placement = placement;
       p_generation = generation;
       p_transitions = [];
     }
-
-  (** Append a residency transition (entries are long-lived; the
-      residency layer calls this on every state change). *)
-  let transition (p : t) ~(at : float) (state : string) : unit =
-    p.p_transitions <- p.p_transitions @ [ (at, state) ]
-
-  let event_to_string : event -> string = function
-    | Op { op; detail } -> Printf.sprintf "op %s %s" op detail
-    | Sym { op; symbol; prior; action } ->
-        Printf.sprintf "sym %s %s%s: %s" op symbol
-          (match prior with Some p -> " (was " ^ p ^ ")" | None -> "")
-          action
-    | Bind { symbol; addr; frag; via } ->
-        Printf.sprintf "bind %s @ 0x%08x in %s (%s)" symbol addr frag via
-    | Interpose { symbol; winner; loser; how } ->
-        Printf.sprintf "interpose %s: %s over %s (%s)" symbol winner loser how
-    | Reloc { section; count } -> Printf.sprintf "relocs %s: %d" section count
-    | Lint { code; severity; path; message } ->
-        Printf.sprintf "lint %s %s at %s: %s" severity code path message
-    | Coalesced { leader_request } ->
-        Printf.sprintf "coalesced: served by in-flight request %d" leader_request
-    | Reused { digest } ->
-        Printf.sprintf "reused subtree %s (memoized materialization)" digest
-
-  (* The names [symbol] has carried: follow rename links backwards so a
-     query for the exported name also surfaces decisions recorded under
-     the names it was derived from. *)
-  let names_for (p : t) (symbol : string) : string list =
-    let rec close acc =
-      let extra =
-        List.filter_map
-          (function
-            | Sym { symbol = s; prior = Some old; _ }
-              when List.mem s acc && not (List.mem old acc) ->
-                Some old
-            | _ -> None)
-          p.p_events
-      in
-      match List.sort_uniq compare extra with
-      | [] -> acc
-      | extra -> close (acc @ extra)
-    in
-    close [ symbol ]
-
-  (** Journal events involving [symbol] (under any of its past names),
-      chronological. *)
-  let events_for (p : t) (symbol : string) : event list =
-    let names = names_for p symbol in
-    List.filter
-      (function
-        | Sym { symbol = s; _ } | Bind { symbol = s; _ }
-        | Interpose { symbol = s; _ } ->
-            List.mem s names
-        | Op _ | Reloc _ | Lint _ | Coalesced _ | Reused _ -> false)
-      p.p_events
-
-  (** Content digest of the construction provenance (transitions
-      excluded: they evolve over the entry's lifetime). *)
-  let digest (p : t) : string =
-    Digest.to_hex
-      (Digest.string
-         (String.concat "\n"
-            (p.p_key :: p.p_placement
-             :: Printf.sprintf "gen=%d text=0x%x data=0x%x" p.p_generation
-                  p.p_text_base p.p_data_base
-             :: (p.p_ops @ List.map event_to_string p.p_events))))
-
-  (* Digests of provenance captured this run, by owner name — what the
-     bench driver folds into BENCH_*.json. *)
-  let built : (string, string) Hashtbl.t = Hashtbl.create 16
-  let note_built ~(name : string) (p : t) : unit =
-    Hashtbl.replace built name (digest p)
-
-  let built_digests () : (string * string) list =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) built [] |> List.sort compare
-
-  let event_json : event -> Json.t = function
-    | Op { op; detail } ->
-        Json.Obj
-          [ ("type", Json.Str "op"); ("op", Json.Str op);
-            ("detail", Json.Str detail) ]
-    | Sym { op; symbol; prior; action } ->
-        Json.Obj
-          ([ ("type", Json.Str "sym"); ("op", Json.Str op);
-             ("symbol", Json.Str symbol) ]
-          @ (match prior with
-            | Some p -> [ ("prior", Json.Str p) ]
-            | None -> [])
-          @ [ ("action", Json.Str action) ])
-    | Bind { symbol; addr; frag; via } ->
-        Json.Obj
-          [ ("type", Json.Str "bind"); ("symbol", Json.Str symbol);
-            ("addr", Json.Num (float_of_int addr)); ("frag", Json.Str frag);
-            ("via", Json.Str via) ]
-    | Interpose { symbol; winner; loser; how } ->
-        Json.Obj
-          [ ("type", Json.Str "interpose"); ("symbol", Json.Str symbol);
-            ("winner", Json.Str winner); ("loser", Json.Str loser);
-            ("how", Json.Str how) ]
-    | Reloc { section; count } ->
-        Json.Obj
-          [ ("type", Json.Str "reloc"); ("section", Json.Str section);
-            ("count", Json.Num (float_of_int count)) ]
-    | Lint { code; severity; path; message } ->
-        Json.Obj
-          [ ("type", Json.Str "lint"); ("code", Json.Str code);
-            ("severity", Json.Str severity); ("path", Json.Str path);
-            ("message", Json.Str message) ]
-    | Coalesced { leader_request } ->
-        Json.Obj
-          [ ("type", Json.Str "coalesced");
-            ("leader_request", Json.Num (float_of_int leader_request)) ]
-    | Reused { digest } ->
-        Json.Obj
-          [ ("type", Json.Str "reused"); ("digest", Json.Str digest) ]
-
-  let to_json (p : t) : Json.t =
-    Json.Obj
-      [ ("key", Json.Str p.p_key);
-        ("digest", Json.Str (digest p));
-        ("ops", Json.Arr (List.map (fun o -> Json.Str o) p.p_ops));
-        ("text_base", Json.Num (float_of_int p.p_text_base));
-        ("data_base", Json.Num (float_of_int p.p_data_base));
-        ("placement", Json.Str p.p_placement);
-        ("generation", Json.Num (float_of_int p.p_generation));
-        ("events", Json.Arr (List.map event_json p.p_events));
-        ("transitions",
-         Json.Arr
-           (List.map
-              (fun (at, state) ->
-                Json.Obj [ ("at_us", Json.Num at); ("state", Json.Str state) ])
-              p.p_transitions)) ]
-
-  let clear_state () : unit =
-    frames := [];
-    Hashtbl.reset built
 end
 
 (** Zero every metric in place (interned handles stay valid), drop all
     recorded spans, and clear profiler attributions and provenance
     journal state. The clock and enabled flags are left alone. *)
 let reset () : unit =
-  reset_metrics_and_spans ();
+  Hashtbl.iter (fun _ (c : Counter.t) -> c.Counter.count <- 0) Counter.registry;
+  Hashtbl.reset Gauge.registry;
+  Hashtbl.iter
+    (fun _ (h : Histogram.t) ->
+      h.Histogram.n <- 0;
+      h.Histogram.sum <- 0.0;
+      h.Histogram.minv <- infinity;
+      h.Histogram.maxv <- neg_infinity;
+      h.Histogram.filled <- 0;
+      h.Histogram.rng <- h.Histogram.seed)
+    Histogram.registry;
+  open_stack := [];
+  completed := [];
+  next_id := 0;
   Profile.clear ();
   Provenance.clear_state ();
   Request.reset_state ();
@@ -1771,7 +1940,3 @@ module Export = struct
            ("metas", Json.Arr (List.map meta_obj (Hotness.stats ()))) ])
 end
 
-(* Re-export the flight recorder so clients address it as
-   [Telemetry.Flight] (its implementation lives in flight.ml, below
-   every hook that feeds it). *)
-module Flight = Flight

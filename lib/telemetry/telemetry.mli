@@ -1,10 +1,15 @@
 (** Structured tracing and metrics for the OMOS request path.
 
-    One global collector: hierarchical spans (recorded only while
-    enabled), plus always-on counters/gauges/histograms, and exporters
-    for line-oriented JSON events and the Chrome [trace_event] format.
-    Span timestamps come from a pluggable clock; the server points it at
-    the simulated clock so traces are in simulated microseconds. *)
+    Process-wide recorders, one request context: hierarchical spans
+    (recorded only while enabled), always-on counters/gauges/histograms,
+    the flight ring and the health and hotness windows are process-wide,
+    with exporters for line-oriented JSON events and the Chrome
+    [trace_event] format. Everything that belongs to one request — its
+    [(client, request)] attribution, binding journal, waits and causal
+    record — lives on its {!Request.ctx}; recorders stamp or record into
+    the innermost open context. Span timestamps come from a pluggable
+    clock; the server points it at the simulated clock so traces are in
+    simulated microseconds. *)
 
 (** Attribute values attached to spans. *)
 type value = S of string | I of int | F of float | B of bool
@@ -214,13 +219,85 @@ module Runinfo : sig
   val sorted : unit -> (string * value) list
 end
 
-(** Request-scoped attribution. Every server entry point (instantiate,
-    exec, dynload, evict) opens a request, which assigns a monotonic
-    request id, inherits or sets the client id, and pushes the pair
-    into the flight-recorder context — so spans, counters, residency
-    transitions, and faults recorded underneath all carry
-    [(client, request)]. Requests nest; ids stay monotonic. *)
+(** The causal event graph behind [ofe blame]: per request, the stage
+    segments it executed and the typed blocking edges (queue admission,
+    batch park, coalesce-on-leader, scheduler dispatch) it waited on,
+    all stamped with exact simulated-clock reads. Because the clock is
+    deterministic and only advances when work is charged, the recorded
+    segments and waits tile a request's lifetime exactly — blame is an
+    accounting identity, not a sampling estimate ({!Omos.Blame} builds
+    critical paths and what-if replays on top).
+
+    Recording is off by default. A request opened while it is on gets a
+    causal record on its {!Request.ctx}, and the recording hooks there
+    write into it; without one they are no-ops, so the instrumented
+    server pays nothing when blame is not being collected. *)
+module Causal : sig
+  (** Why a request was blocked rather than computing. *)
+  type wait_kind =
+    | Queue  (** admission: submitted but not yet dispatched to parse *)
+    | Batch  (** parked at the place boundary until [flush_place] *)
+    | Coalesce  (** follower waiting on its leader's link/map *)
+    | Sched  (** runnable but waiting for the scheduler to dispatch *)
+
+  (** One executed stage interval. [g_self] is the charged cost — it
+      can be less than [g_t1 -. g_t0] when shared work (a batched
+      solve) overlaps the interval. *)
+  type segment = { g_stage : string; g_t0 : float; g_t1 : float; g_self : float }
+
+  (** One resolved blocking interval. [w_on] is the request id being
+      waited on ([-1] when the edge has no single counterpart). *)
+  type wait = { w_kind : wait_kind; w_from : float; w_until : float; w_on : int }
+
+  (** One scheduler dispatch: the task was spawned at [d_queued] and
+      ran at [d_started]. *)
+  type dispatch = { d_stage : string; d_queued : float; d_started : float }
+
+  type req = {
+    g_id : int;
+    g_client : int;
+    g_target : string;
+    g_submit : float;
+    mutable g_segments : segment list;
+    mutable g_waits : wait list;
+    mutable g_dispatches : dispatch list;
+    mutable g_done : float option;
+    mutable g_sim_us : float;
+    mutable g_hit : bool;
+    mutable g_solver_us : float;
+        (** shared batched-solve cost charged during this request's
+            place segment (not part of its own wrap work) *)
+  }
+
+  val set_enabled : bool -> unit
+  val is_enabled : unit -> bool
+
+  val find : int -> req option
+
+  (** Completed and in-flight requests recorded since the last reset,
+      sorted by id; segments, waits and dispatches are returned in
+      chronological order. *)
+  val requests : unit -> req list
+
+  (** Drop all recorded requests (the enabled flag is untouched);
+      {!reset} calls this. *)
+  val reset_state : unit -> unit
+end
+
+(** Request-scoped attribution and recording. Every server entry point
+    (instantiate, exec, dynload, evict) opens a request, which assigns a
+    monotonic request id, inherits or sets the client id, and pushes its
+    context — so spans, counters, residency transitions, and faults
+    recorded underneath all carry [(client, request)], and journal
+    events land in that request's journal. Requests nest; ids stay
+    monotonic. *)
 module Request : sig
+  (** One request's recording state: attribution, binding journal,
+      open park and wait totals, and causal record. *)
+  type ctx
+
+  val id : ctx -> int
+
   (** Ambient client id inherited by requests opened outside any
       enclosing request (default 0); workload drivers set it before
       each simulated client's operation. *)
@@ -229,47 +306,77 @@ module Request : sig
   (** Client id of the innermost open request, [-1] outside any. *)
   val current_client : unit -> int
 
-  (** The client id a request opened right now would inherit: the
-      innermost open request's, else the ambient one. *)
-  val effective_client : unit -> int
-
   (** Id of the innermost open request, [-1] outside any. *)
   val current_request : unit -> int
-
-  val active : unit -> bool
 
   (** The most recently assigned request id, [-1] if none yet. *)
   val last_id : unit -> int
 
-  (** Open a request of [kind] (e.g. ["instantiate"]); returns its id.
-      [client] overrides the inherited/ambient client id. *)
-  val begin_request : ?client:int -> string -> int
-
-  val end_request : unit -> unit
-
-  (** Run [f] inside a fresh request (ended on exceptions too). *)
+  (** Run [f] inside a fresh request of [kind] (e.g. ["exec"]), ended on
+      exceptions too. [client] overrides the client id inherited from
+      the innermost open request (else the ambient one). *)
   val with_request : ?client:int -> string -> (unit -> 'a) -> 'a
 
   (** {2 Detached requests}
 
       The staged pipeline opens a request once at submission, resumes
-      and suspends it around every stage execution (so interleaved
-      requests each stamp their own [(client, id)] on what they
-      record), and closes it at completion. *)
+      and suspends its context around every stage execution (so
+      interleaved requests each stamp their own [(client, id)] on what
+      they record, and journal into their own journals), and closes it
+      at completion. *)
 
-  (** Assign a request id and emit the begin event without leaving the
-      request on the context stack. *)
-  val begin_detached : ?client:int -> string -> int
+  (** Open a request and emit its begin event without leaving it on the
+      context stack. While causal recording is on, the context gets a
+      causal record for [target], submitted now. *)
+  val begin_detached : ?client:int -> target:string -> string -> ctx
 
-  (** Push an already-assigned [(client, id)] back onto the context
-      stack (no new id, no begin event). *)
-  val resume : client:int -> id:int -> string -> unit
+  (** Push the context back as the innermost one (no new id, no begin
+      event). *)
+  val resume : ctx -> unit
 
   (** Pop the innermost context without emitting an end event. *)
   val suspend : unit -> unit
 
   (** Emit the end event of a detached request. *)
-  val end_detached : client:int -> id:int -> string -> unit
+  val end_detached : ctx -> unit
+
+  (** {2 Waits}
+
+      A request parks when it leaves the scheduler to wait (at the place
+      barrier, or on a coalesced leader) and unparks when it becomes
+      runnable again; the wait is added to its total for its kind and,
+      with a causal record, appended to it as a typed wait edge. *)
+
+  (** Open a park at [at]: of [kind], waiting on request [on] (default
+      [-1], none). *)
+  val park : ctx -> Causal.wait_kind -> ?on:int -> at:float -> unit -> unit
+
+  (** Close the open park at [at]. *)
+  val unpark : ctx -> at:float -> unit
+
+  (** Total time parked at the place barrier. *)
+  val batch_us : ctx -> float
+
+  (** Total time parked on coalesced leaders. *)
+  val coalesce_us : ctx -> float
+
+  (** {2 The causal record}
+
+      No-ops for a context without one. *)
+
+  (** One executed stage interval; [self] (default [t1 -. t0]) is the
+      charged cost. *)
+  val segment :
+    ctx -> stage:string -> t0:float -> t1:float -> ?self:float -> unit -> unit
+
+  (** One scheduler dispatch of [stage]: spawned at [queued], run at
+      [started]. *)
+  val dispatched : ctx -> stage:string -> queued:float -> started:float -> unit
+
+  val set_solver_us : ctx -> float -> unit
+
+  (** The request sealed [sim_us] at [at]. *)
+  val complete : ctx -> at:float -> sim_us:float -> hit:bool -> unit
 end
 
 (** Rolling-window health over the instantiate stream: hit ratio, cost
@@ -341,84 +448,6 @@ module Health : sig
   val ok : (string * float * float * bool) list -> bool
 end
 
-(** The causal event graph behind [ofe blame]: per request, the stage
-    segments it executed and the typed blocking edges (queue admission,
-    batch park, coalesce-on-leader, scheduler dispatch) it waited on,
-    all stamped with exact simulated-clock reads. Because the clock is
-    deterministic and only advances when work is charged, the recorded
-    segments and waits tile a request's lifetime exactly — blame is an
-    accounting identity, not a sampling estimate ({!Omos.Blame} builds
-    critical paths and what-if replays on top).
-
-    Recording is off by default; every hook is a no-op while disabled
-    or for unknown request ids, so the instrumented server pays nothing
-    when blame is not being collected. *)
-module Causal : sig
-  (** Why a request was blocked rather than computing. *)
-  type wait_kind =
-    | Queue  (** admission: submitted but not yet dispatched to parse *)
-    | Batch  (** parked at the place boundary until [flush_place] *)
-    | Coalesce  (** follower waiting on its leader's link/map *)
-    | Sched  (** runnable but waiting for the scheduler to dispatch *)
-
-  val wait_kind_to_string : wait_kind -> string
-
-  (** One executed stage interval. [g_self] is the charged cost — it
-      can be less than [g_t1 -. g_t0] when shared work (a batched
-      solve) overlaps the interval. *)
-  type segment = { g_stage : string; g_t0 : float; g_t1 : float; g_self : float }
-
-  (** One resolved blocking interval. [w_on] is the request id being
-      waited on ([-1] when the edge has no single counterpart). *)
-  type wait = { w_kind : wait_kind; w_from : float; w_until : float; w_on : int }
-
-  (** One scheduler dispatch: the task was spawned at [d_queued] and
-      ran at [d_started]. *)
-  type dispatch = { d_stage : string; d_queued : float; d_started : float }
-
-  type req = {
-    g_id : int;
-    g_client : int;
-    g_target : string;
-    g_submit : float;
-    mutable g_segments : segment list;
-    mutable g_waits : wait list;
-    mutable g_dispatches : dispatch list;
-    mutable g_parked : (wait_kind * float * int) option;
-        (** an unresolved park, closed by {!unpark} *)
-    mutable g_done : float option;
-    mutable g_sim_us : float;
-    mutable g_hit : bool;
-    mutable g_solver_us : float;
-        (** shared batched-solve cost charged during this request's
-            place segment (not part of its own wrap work) *)
-  }
-
-  val set_enabled : bool -> unit
-  val is_enabled : unit -> bool
-
-  (** Recording hooks (no-ops while disabled / id unknown). *)
-
-  val begin_request : id:int -> client:int -> target:string -> at:float -> unit
-  val segment : id:int -> stage:string -> t0:float -> t1:float -> ?self:float -> unit -> unit
-  val park : id:int -> wait_kind -> ?on:int -> at:float -> unit -> unit
-  val unpark : id:int -> at:float -> unit -> unit
-  val dispatched : id:int -> stage:string -> queued:float -> started:float -> unit
-  val set_solver_us : id:int -> float -> unit
-  val complete : id:int -> at:float -> sim_us:float -> hit:bool -> unit -> unit
-
-  val find : int -> req option
-
-  (** Completed and in-flight requests recorded since the last reset,
-      sorted by id; segments, waits and dispatches are returned in
-      chronological order. *)
-  val requests : unit -> req list
-
-  (** Drop all recorded requests (the enabled flag is untouched);
-      {!reset} calls this. *)
-  val reset_state : unit -> unit
-end
-
 (** Zero every metric in place (interned handles stay valid), drop all
     recorded spans, clear profiler attributions, provenance journal
     state, request attribution, health windows, the hotness store, and
@@ -453,12 +482,14 @@ end
     cache entry the build produced — so cached images can explain
     themselves ([ofe explain]) without relinking.
 
-    The server brackets every fresh build with
-    {!Provenance.begin_build}/{!Provenance.capture}; frames stack
-    because builds nest (a specializer may instantiate a library while
-    evaluating a client graph). Event recording is off by default: when
-    disabled, captures still produce a provenance skeleton (key,
-    placement, generation) with an empty event stream. *)
+    Every request's {!Request.ctx} owns its journal, and the recording
+    hooks write to the innermost open request's; the server captures a
+    fresh build's journal at link time. Nested builds (a specializer
+    instantiating a library while evaluating a client graph) and
+    interleaved pipeline stages thus never record into each other's
+    journals. Event recording is off by default: when disabled,
+    captures still produce a provenance skeleton (key, placement,
+    generation) with an empty event stream. *)
 module Provenance : sig
   type event =
     | Op of { op : string; detail : string }
@@ -499,21 +530,8 @@ module Provenance : sig
 
   val is_enabled : unit -> bool
 
-  (** Open a journal frame for a build about to start. *)
-  val begin_build : unit -> unit
-
-  (** A journal frame detached from the global stack: the pipeline
-      suspends a build's frame between stages so interleaved requests
-      never record into each other's journals. *)
-  type open_frame
-
-  (** Detach the innermost open frame. *)
-  val suspend_build : unit -> open_frame
-
-  (** Push a detached frame back as the innermost open frame. *)
-  val resume_build : open_frame -> unit
-
-  (** Close the innermost frame into a provenance record. *)
+  (** Take the innermost open request's journal into a provenance
+      record (an empty one outside any request). *)
   val capture :
     key:string ->
     text_base:int ->
@@ -523,7 +541,7 @@ module Provenance : sig
     unit ->
     t
 
-  (** Recording hooks (no-ops while disabled, or outside any frame). *)
+  (** Recording hooks (no-ops while disabled, or outside any request). *)
 
   val record_op : op:string -> detail:string -> unit
   val record_sym : op:string -> symbol:string -> ?prior:string -> string -> unit
@@ -534,20 +552,18 @@ module Provenance : sig
 
   val record_reloc : section:string -> count:int -> unit
 
-  (** Attach a pre-link lint finding to the open journal frame. Joins
-      the event stream only — the operator chain is untouched. *)
+  (** Attach a pre-link lint finding to the innermost journal. Joins
+      the event stream only — the operator chain is untouched. Findings
+      head the journal: each goes after earlier findings and ahead of
+      any other event already recorded. *)
   val record_lint :
     code:string -> severity:string -> path:string -> string -> unit
 
-  (** Note on the innermost open frame that a coalesced follower is
-      being served by this build. *)
-  val record_coalesced : leader_request:int -> unit
+  (** Note on the leader's journal that a coalesced follower is being
+      served by its build. *)
+  val record_coalesced : Request.ctx -> unit
 
-  (** Same, onto a detached frame (the pipeline coalesces followers
-      between the leader's stages, while its frame is suspended). *)
-  val record_coalesced_into : open_frame -> leader_request:int -> unit
-
-  (** Note on the innermost open frame that a memoized subtree (by
+  (** Note on the innermost journal that a memoized subtree (by
       interface digest) satisfied part of this build. *)
   val record_reused : digest:string -> unit
 
@@ -575,10 +591,99 @@ module Provenance : sig
   val to_json : t -> Json.t
 end
 
-(** The flight recorder (see flight.mli): a bounded ring of the last
-    ~4k structured events, dumped on invariant violations, faults, and
-    non-zero [ofe] exits. *)
-module Flight = Flight
+(** The flight recorder: a bounded ring buffer of the last ~4k
+    structured telemetry events (spans, counter increments, gauge sets,
+    histogram observations, request begin/end, residency transitions,
+    faults, invariant violations), each stamped with the simulated
+    clock and the innermost request's [(client, request)] ([-1, -1]
+    outside any request).
+
+    Appends are O(1) and allocation-free beyond the slot write: the
+    ring is a set of parallel pre-allocated arrays indexed by a single
+    cursor. The recorder is always on — it is the thing you read {e
+    after} something went wrong, so it cannot be something you had to
+    remember to enable.
+
+    A dump ({!Flight.dump}) writes the ring twice: as line-oriented JSON
+    events and as a human transcript, and counts itself in
+    [flight.dumps] and [flight.dumps.<cause>] (the reason's first word).
+    {!Flight.trip} performs the dump automatically when an auto-dump
+    prefix was configured — the residency layer trips it on invariant
+    violations and injected faults, and [ofe] trips it when exiting
+    non-zero. *)
+module Flight : sig
+  (** What kind of event a slot holds. *)
+  type kind =
+    | Request_begin
+    | Request_end
+    | Span_enter
+    | Span_exit
+    | Count
+    | Gauge_set
+    | Observe
+    | Transition
+    | Fault
+    | Violation
+    | Note
+
+  (** Ring capacity (number of retained events). *)
+  val capacity : int
+
+  (** {1 Recording} *)
+
+  (** [emit kind name detail value] appends one event (hot path: one
+      ring-slot write, no allocation). *)
+  val emit : kind -> string -> string -> float -> unit
+
+  (** Convenience wrapper over {!emit}. *)
+  val record : ?detail:string -> ?value:float -> kind -> string -> unit
+
+  (** Record a fault event and {!trip} the auto-dump. *)
+  val record_fault : string -> unit
+
+  (** Record a violation event ([name] is the violation code). *)
+  val record_violation : name:string -> detail:string -> unit
+
+  (** {1 Reading} *)
+
+  type event = {
+    seq : int;  (** global sequence number (monotonic since {!clear}) *)
+    at_us : float;
+    kind : kind;
+    name : string;
+    detail : string;
+    value : float;
+    client : int;
+    request : int;
+  }
+
+  (** Retained events, oldest first (at most {!capacity}). *)
+  val events : unit -> event list
+
+  (** Events recorded since the last {!clear} (including overwritten
+      ones). *)
+  val total_recorded : unit -> int
+
+  (** Events currently retained in the ring. *)
+  val size : unit -> int
+
+  val clear : unit -> unit
+
+  (** {1 Dumping} *)
+
+  (** Write [<prefix>.json] and [<prefix>.txt]. *)
+  val dump : reason:string -> prefix:string -> unit
+
+  (** Configure (or disable, with [None]) the auto-dump prefix used by
+      {!trip}. Survives [Telemetry.reset]. *)
+  val set_auto_dump : string option -> unit
+
+  val auto_dump_prefix : unit -> string option
+
+  (** If an auto-dump prefix is configured and the ring is non-empty,
+      record a note naming [reason], dump, and return [true]. *)
+  val trip : reason:string -> unit -> bool
+end
 
 module Export : sig
   (** One JSON object per line: spans, then counters, gauges,

@@ -6,8 +6,7 @@ module F = Telemetry.Flight
 let reset () =
   Telemetry.reset ();
   Telemetry.set_enabled false;
-  F.set_auto_dump None;
-  F.clear_context ()
+  F.set_auto_dump None
 
 (* -- ring ------------------------------------------------------------------ *)
 
@@ -66,17 +65,24 @@ let test_metrics_recorded_while_spans_disabled () =
 
 (* -- context --------------------------------------------------------------- *)
 
+(* Events are stamped with the innermost request context while it is
+   resumed, and with (-1, -1) once it is suspended again. *)
 let test_context_attribution () =
   reset ();
+  let ctx =
+    Telemetry.Request.begin_detached ~client:3 ~target:"test" "detached"
+  in
+  let id = Telemetry.Request.id ctx in
+  F.clear ();
   F.record F.Note "outside";
-  F.set_context ~client:3 ~request:9;
+  Telemetry.Request.resume ctx;
   F.record F.Note "inside";
-  F.clear_context ();
+  Telemetry.Request.suspend ();
   F.record F.Note "after";
   match F.events () with
   | [ a; b; c ] ->
       Alcotest.(check (pair int int)) "outside" (-1, -1) (a.F.client, a.F.request);
-      Alcotest.(check (pair int int)) "inside" (3, 9) (b.F.client, b.F.request);
+      Alcotest.(check (pair int int)) "inside" (3, id) (b.F.client, b.F.request);
       Alcotest.(check (pair int int)) "after" (-1, -1) (c.F.client, c.F.request)
   | evs -> Alcotest.failf "expected 3 events, got %d" (List.length evs)
 
@@ -112,10 +118,12 @@ let test_request_nesting_and_ids () =
 
 let test_dump_files_parse () =
   reset ();
-  F.set_context ~client:1 ~request:4;
+  let ctx = Telemetry.Request.begin_detached ~client:1 ~target:"test" "dump" in
+  F.clear ();
+  Telemetry.Request.resume ctx;
   F.record ~detail:"placed" F.Transition "/lib/libc";
   F.record_violation ~name:"overlap" ~detail:"0x1000..0x2000";
-  F.clear_context ();
+  Telemetry.Request.suspend ();
   let prefix = Filename.concat (Filename.get_temp_dir_name ()) "flight_test" in
   F.dump ~reason:"unit test" ~prefix;
   let read p =
@@ -151,7 +159,9 @@ let test_dump_files_parse () =
   Alcotest.(check bool) "transcript header" true
     (String.length txt > 0 && String.get txt 0 = '#');
   Alcotest.(check bool) "transcript names the request" true
-    (Astring.String.is_infix ~affix:"client=1 request=4" txt);
+    (Astring.String.is_infix
+       ~affix:(Printf.sprintf "client=1 request=%d" (Telemetry.Request.id ctx))
+       txt);
   Sys.remove (prefix ^ ".json");
   Sys.remove (prefix ^ ".txt")
 

@@ -193,7 +193,87 @@ let test_overload () =
    drain, so the server must serve it synchronously. *)
 let nested_operands = [ "/lib/libl"; "/lib/libC"; "/lib/libal1"; "/lib/libal2" ]
 
+let journal (e : Omos.Cache.entry) : Telemetry.Provenance.t =
+  match e.Omos.Cache.provenance with
+  | Some p -> p
+  | None -> Alcotest.fail "cache entry has no provenance"
+
+let binds (p : Telemetry.Provenance.t) =
+  List.filter_map
+    (function
+      | Telemetry.Provenance.Bind { symbol; addr; _ } -> Some (symbol, addr)
+      | _ -> None)
+    p.Telemetry.Provenance.p_events
+
+(* A nested request is recorded apart from the request whose stage made
+   it: its own causal record, whose critical path tiles its sim_us as
+   the outer requests' still tile theirs; a journal holding only its
+   own build's events; and its own id on every flight event its stages
+   emit (from its first stage transition in the ring to its end). *)
+let check_nested_attribution ~(reference : Omos.Cache.entry)
+    ~(libm : Omos.Cache.entry) (outer : Omos.Server.response list) =
+  let module C = Telemetry.Causal in
+  let module B = Omos.Blame in
+  let module F = Telemetry.Flight in
+  let nested, outers =
+    List.partition (fun r -> r.C.g_target = "lib:/lib/libm") (C.requests ())
+  in
+  Alcotest.(check int) "a causal record per nested request" 4
+    (List.length nested);
+  Alcotest.(check int) "a causal record per outer request" 4
+    (List.length outers);
+  List.iter
+    (fun r ->
+      match B.critical_path r with
+      | None -> Alcotest.failf "request %d never sealed" r.C.g_id
+      | Some p ->
+          let cursor = ref p.B.p_submit in
+          List.iter
+            (fun (sl : B.slice) ->
+              Alcotest.(check bool) "slices tile" true (sl.B.s_from = !cursor);
+              cursor := sl.B.s_until)
+            p.B.p_slices;
+          Alcotest.(check bool) "path ends at seal" true (!cursor = p.B.p_done);
+          Alcotest.(check (float 1e-6)) "slices sum to sim_us" p.B.p_sim_us
+            (List.fold_left (fun a sl -> a +. B.slice_us sl) 0.0 p.B.p_slices))
+    (nested @ outers);
+  Alcotest.(check string) "nested journal is its own build's"
+    (Telemetry.Provenance.digest (journal reference))
+    (Telemetry.Provenance.digest (journal libm));
+  let libm_binds = binds (journal libm) in
+  Alcotest.(check bool) "nested journal binds libm" true (libm_binds <> []);
+  List.iter
+    (fun (r : Omos.Server.response) ->
+      let own = binds (journal r.Omos.Server.built.Omos.Server.entry) in
+      Alcotest.(check bool) "outer journal has no nested binds" true
+        (List.for_all (fun b -> not (List.mem b own)) libm_binds))
+    outer;
+  let nested_ids = List.map (fun r -> r.C.g_id) nested in
+  let inside = ref None and seen = ref 0 in
+  List.iter
+    (fun (e : F.event) ->
+      match !inside with
+      | Some id ->
+          Alcotest.(check int) "nested-stage event carries the nested id" id
+            e.F.request;
+          if e.F.kind = F.Request_end then inside := None
+      | None ->
+          if e.F.kind = F.Transition && e.F.detail = "lib:/lib/libm" then begin
+            Alcotest.(check bool) "nested transition carries a nested id" true
+              (List.mem e.F.request nested_ids);
+            incr seen;
+            inside := Some e.F.request
+          end)
+    (F.events ());
+  Alcotest.(check bool) "nested stages in the ring" true (!seen > 0)
+
 let test_nested_build batch () =
+  Telemetry.Causal.set_enabled true;
+  Telemetry.Provenance.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      Telemetry.Causal.set_enabled false;
+      Telemetry.Provenance.set_enabled false)
+  @@ fun () ->
   let reference =
     Omos.Server.build (fresh_world ()) (Omos.Server.library "/lib/libm")
   in
@@ -240,7 +320,9 @@ let test_nested_build batch () =
         e.Omos.Cache.data_base)
     !nested;
   Alcotest.(check int) "residency invariants hold" 0
-    (List.length (Omos.Residency.check_invariants (Omos.Server.residency s)))
+    (List.length (Omos.Residency.check_invariants (Omos.Server.residency s)));
+  check_nested_attribution ~reference:ref_e
+    ~libm:(List.hd !nested).Omos.Server.entry outer
 
 (* -- rebinding a fragment ------------------------------------------------------ *)
 

@@ -104,6 +104,38 @@ let test_residency_transitions () =
     (List.mem "placed" states && List.mem "evicted" states)
 
 (* Bench snapshots carry construction digests. *)
+(* Followers of a burst coalesce onto the leader before its lint stage
+   runs, yet the meta's findings still head the leader's journal, ahead
+   of the followers' Coalesced events. *)
+let test_lint_heads_coalesced_journal () =
+  let w = world () in
+  let s = w.Omos.World.server in
+  Omos.Server.register_meta_source s "/test/warny"
+    "(override /demo/impl.o /lib/libm.o)";
+  T.Provenance.set_enabled true;
+  let tickets =
+    List.init 3 (fun _ ->
+        Omos.Server.submit s (Omos.Server.library "/test/warny"))
+  in
+  let leader = Omos.Server.await s (List.hd tickets) in
+  List.iter (fun tk -> ignore (Omos.Server.await s tk)) (List.tl tickets);
+  T.Provenance.set_enabled false;
+  let kinds =
+    List.map
+      (function
+        | T.Provenance.Lint _ -> "lint"
+        | T.Provenance.Coalesced _ -> "coalesced"
+        | _ -> "other")
+      (provenance_of leader).T.Provenance.p_events
+  in
+  let rec after_lints = function "lint" :: rest -> after_lints rest | k -> k in
+  let rest = after_lints kinds in
+  Alcotest.(check bool) "findings head the journal" true
+    (List.length rest < List.length kinds);
+  Alcotest.(check (list string)) "followers follow the findings"
+    [ "coalesced"; "coalesced" ]
+    (List.filteri (fun i _ -> i < 2) rest)
+
 let test_built_digests () =
   let w = world () in
   let s = w.Omos.World.server in
@@ -215,6 +247,8 @@ let () =
           Alcotest.test_case "residency transitions" `Quick
             test_residency_transitions;
           Alcotest.test_case "built digests" `Quick test_built_digests;
+          Alcotest.test_case "lint heads a coalesced journal" `Quick
+            test_lint_heads_coalesced_journal;
         ] );
       ( "profiler",
         [

@@ -129,6 +129,22 @@ let test_queue_limit_preserved () =
   | Some s -> Alcotest.(check int) "untouched" 100 (Omos.Server.queue_limit s)
   | None -> Alcotest.fail "setup did not run"
 
+(* The run records spans while it drives the server, then hands span
+   recording back as it found it: every later span in the process
+   (a fuzzer iteration, the next ofe step) is recorded only if the
+   caller asked for it. *)
+let test_span_flag_restored () =
+  let spec = { small_spec with W.requests = 3 } in
+  List.iter
+    (fun before ->
+      Telemetry.set_enabled before;
+      ignore (W.run spec);
+      Alcotest.(check bool)
+        (Printf.sprintf "span flag restored (was %b)" before)
+        before (Telemetry.is_enabled ()))
+    [ false; true ];
+  Telemetry.set_enabled false
+
 let test_fault_run_trips_flight_dump () =
   let prefix =
     Filename.concat (Filename.get_temp_dir_name ()) "workload_fault_flight"
@@ -181,6 +197,7 @@ let () =
             test_request_ids_strictly_increase;
           Alcotest.test_case "queue limit preserved" `Quick
             test_queue_limit_preserved;
+          Alcotest.test_case "span flag restored" `Quick test_span_flag_restored;
           Alcotest.test_case "fault trips dump" `Quick
             test_fault_run_trips_flight_dump;
         ] );
