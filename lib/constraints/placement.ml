@@ -37,6 +37,7 @@ type interval = { lo : int; hi : int; owner : string }
 
 type t = {
   mutable occupied : interval list; (* sorted by lo, non-overlapping *)
+  mutable version : int; (* bumped by every write to [occupied] *)
   region_lo : int; (* default allocation region *)
   region_hi : int;
   align : int; (* base alignment for all placements (page size) *)
@@ -45,7 +46,11 @@ type t = {
 let create ?(region_lo = 0x1000) ?(region_hi = 0x7FFF_F000) ?(align = 0x1000) () : t =
   if align <= 0 || region_lo < 0 || region_hi <= region_lo then
     invalid_arg "Placement.create";
-  { occupied = []; region_lo; region_hi; align }
+  { occupied = []; version = 0; region_lo; region_hi; align }
+
+(** How many times [occupied] has been written: equal versions of one
+    arena mean equal interval sets. *)
+let version (t : t) : int = t.version
 
 let intervals (t : t) : (int * int * string) list =
   List.map (fun i -> (i.lo, i.hi, i.owner)) t.occupied
@@ -80,7 +85,8 @@ let insert (t : t) (iv : interval) : unit =
     | [] -> [ iv ]
     | x :: rest -> if iv.lo < x.lo then iv :: x :: rest else x :: go rest
   in
-  t.occupied <- go t.occupied
+  t.occupied <- go t.occupied;
+  t.version <- t.version + 1
 
 (** [reserve t ~lo ~size owner] claims an exact interval; [Error owner']
     names the conflicting occupant if any. *)
@@ -94,7 +100,8 @@ let reserve (t : t) ~lo ~size owner : (unit, string) result =
 
 (** [release t ~lo] frees the interval starting at [lo]. *)
 let release (t : t) ~lo : unit =
-  t.occupied <- List.filter (fun i -> i.lo <> lo) t.occupied
+  t.occupied <- List.filter (fun i -> i.lo <> lo) t.occupied;
+  t.version <- t.version + 1
 
 (* Candidate base addresses adjacent to occupied intervals plus region
    start: the classic first-fit gap scan. *)
@@ -225,19 +232,19 @@ let pack_run (t : t) (run : batch_item list) : decision list option =
      exactly where one-at-a-time first fit would put every member. On a
      fragmented arena the sequential answers can split across gaps —
      simulate them, and fall back to per-item solves unless they form
-     one contiguous chain. *)
-  let saved = t.occupied in
+     one contiguous chain. The simulation runs on a copy, so the arena
+     itself is never written unless the run packs. *)
+  let sim = { t with occupied = t.occupied } in
   let bases =
     List.map
       (fun s ->
-        match first_fit_from t ~from:t.region_lo ~size:s with
+        match first_fit_from sim ~from:sim.region_lo ~size:s with
         | None -> None
         | Some b ->
-            insert t { lo = b; hi = b + s; owner = "#pack-sim" };
+            insert sim { lo = b; hi = b + s; owner = "#pack-sim" };
             Some b)
       sizes
   in
-  t.occupied <- saved;
   let contiguous =
     List.for_all Option.is_some bases
     &&

@@ -25,6 +25,11 @@ type t
     4 KB pages over most of a 31-bit space). *)
 val create : ?region_lo:int -> ?region_hi:int -> ?align:int -> unit -> t
 
+(** How many times the occupied intervals have been written (every
+    reservation, placement and release bumps it). Two equal versions of
+    one arena imply the same intervals. *)
+val version : t -> int
+
 (** Occupied intervals, as (lo, hi, owner). *)
 val intervals : t -> (int * int * string) list
 

@@ -42,8 +42,8 @@ type entry = {
   data_base : int;
   disk_bytes : int;
   mutable hits : int;
-  mutable residency : residency;
-  mutable provenance : Telemetry.Provenance.t option;
+  mutable residency : residency; (* written only by [set_residency] *)
+  provenance : Telemetry.Provenance.t option;
       (* how this image was built; served as-is on hits *)
 }
 
@@ -67,6 +67,8 @@ type t = {
   mutable miss_count : int;
   mutable insertions : int;
   mutable generation : int; (* bumped on every insertion and eviction *)
+  mutable version : int;
+      (* bumped by every change to the entry set or an entry's residency *)
 }
 
 let create () : t =
@@ -77,12 +79,28 @@ let create () : t =
     miss_count = 0;
     insertions = 0;
     generation = 0;
+    version = 0;
   }
 
 (** Structural age of the cache: how many insertions and evictions it
     has seen. Recorded into each entry's provenance at build time, so
     [ofe explain] can say which cache era an image came from. *)
 let generation (t : t) : int = t.generation
+
+(** Structural version: bumped by every insertion, invalidation, clear,
+    eviction and residency change, so equal versions of one cache mean
+    the same entries in the same residency states. *)
+let version (t : t) : int = t.version
+
+let bump (t : t) : unit = t.version <- t.version + 1
+
+(** Move an entry to residency [r]; a no-op (and no version bump) when
+    it is already there. *)
+let set_residency (t : t) (e : entry) (r : residency) : unit =
+  if e.residency <> r then begin
+    e.residency <- r;
+    bump t
+  end
 
 (** All cached placements of a construction. *)
 let candidates (t : t) (key : string) : entry list =
@@ -122,13 +140,16 @@ let insert (t : t) ~(key : string) ~(text_base : int) ~(data_base : int)
   | None -> Hashtbl.replace t.entries key (ref [ e ]));
   t.insertions <- t.insertions + 1;
   t.generation <- t.generation + 1;
+  bump t;
   Telemetry.Counter.incr tm_insertions;
   Telemetry.Histogram.observe tm_entry_bytes (float_of_int e.disk_bytes);
   e
 
 (** Drop every placement of a construction (e.g. after its sources
     changed). *)
-let invalidate (t : t) (key : string) : unit = Hashtbl.remove t.entries key
+let invalidate (t : t) (key : string) : unit =
+  Hashtbl.remove t.entries key;
+  bump t
 
 (* -- per-node memo table ---------------------------------------------------- *)
 
@@ -173,6 +194,7 @@ let to_list (t : t) : entry list =
 
 let clear (t : t) : unit =
   Hashtbl.reset t.entries;
+  bump t;
   memo_clear t;
   t.hit_count <- 0;
   t.miss_count <- 0;
@@ -228,6 +250,7 @@ let evict_to_budget (t : t) ~(bytes : int) : entry list =
     in
     List.iter (Hashtbl.remove t.entries) empty;
     t.generation <- t.generation + List.length victim_set;
+    if victim_set <> [] then bump t;
     Telemetry.Counter.incr tm_evictions ~by:(List.length victim_set);
     (* derived data follows the images it was derived from *)
     if victim_set <> [] then memo_clear t;

@@ -15,7 +15,9 @@ type residency = Placed | Evicted | Static
 
 val residency_to_string : residency -> string
 
-type entry = {
+(** Read-only outside this module: an entry's residency changes only
+    through {!set_residency}, so every change reaches {!version}. *)
+type entry = private {
   key : string;  (** construction digest *)
   image : Linker.Image.t;
   text_base : int;
@@ -23,7 +25,7 @@ type entry = {
   disk_bytes : int;  (** serialized size (disk-consumption accounting) *)
   mutable hits : int;
   mutable residency : residency;
-  mutable provenance : Telemetry.Provenance.t option;
+  provenance : Telemetry.Provenance.t option;
       (** binding journal of the build that produced this image; hits
           serve it as-is, without relinking *)
 }
@@ -34,6 +36,16 @@ val create : unit -> t
 
 (** Structural age: insertions + evictions seen so far. *)
 val generation : t -> int
+
+(** Structural version: bumped by {!insert}, {!invalidate}, {!clear},
+    an {!evict_to_budget} that evicts anything, and a {!set_residency}
+    that changes a state. Equal versions of one cache mean the same
+    entries in the same residency states. *)
+val version : t -> int
+
+(** Move an entry to a residency state (bumping {!version} when the
+    state changes). Only {!Residency} and tests call it. *)
+val set_residency : t -> entry -> residency -> unit
 
 (** All cached placements of a construction (no hit/miss counting). *)
 val candidates : t -> string -> entry list

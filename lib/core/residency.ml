@@ -18,6 +18,10 @@ type faults = {
 let no_faults =
   { seed = 0; place_conflict = 0.0; evict_storm = 0.0; reserve_fail = 0.0 }
 
+(* Versions of the three mutable inputs of [check_invariants] besides
+   the managed set (whose growth clears the stored stamp instead). *)
+type stamp = { s_cache : int; s_text : int; s_data : int }
+
 type t = {
   cache : Cache.t;
   text_arena : P.t;
@@ -26,7 +30,8 @@ type t = {
   faults : faults option;
   mutable rng : int;
   managed : (string, unit) Hashtbl.t; (* owners whose intervals we police *)
-  mutable checking : bool;
+  mutable clean : stamp option;
+      (* the inputs of the last self-check that found nothing *)
 }
 
 exception Violation of string
@@ -37,6 +42,7 @@ let tm_reacquired = Telemetry.Counter.make "residency.reacquired"
 let tm_evicted = Telemetry.Counter.make "residency.evicted"
 let tm_lost = Telemetry.Counter.make "residency.lost_reservations"
 let tm_checks = Telemetry.Counter.make "residency.invariant_checks"
+let tm_scans = Telemetry.Counter.make "residency.invariant_scans"
 let tm_violations = Telemetry.Counter.make "residency.invariant_violations"
 let tm_fault_conflict = Telemetry.Counter.make "residency.faults.place_conflict"
 let tm_fault_storm = Telemetry.Counter.make "residency.faults.evict_storm"
@@ -54,7 +60,7 @@ let create ~cache ~text_arena ~data_arena ?(clock = Telemetry.now_us) ?faults ()
     faults;
     rng = (seed lxor 0x9E3779B9) lor 1;
     managed = Hashtbl.create 16;
-    checking = true;
+    clean = None;
   }
 
 (* -- deterministic fault stream ----------------------------------- *)
@@ -122,14 +128,25 @@ let backed (t : t) (e : Cache.entry) : bool =
 
 (* Residency is part of an image's story: every transition is appended
    to the entry's provenance record (when one is attached), stamped
-   with the simulated clock — [ofe explain] shows the sequence. *)
-let note_transition (t : t) (e : Cache.entry) (state : string) : unit =
+   with the simulated clock — [ofe explain] shows the sequence. A
+   transition that changed nothing ([journal = false]) still reaches the
+   flight recorder but not the record, so a hot entry's record stays
+   bounded. *)
+let note_transition ?(journal = true) (t : t) (e : Cache.entry)
+    (state : string) : unit =
   Telemetry.Flight.emit Telemetry.Flight.Transition (owner_of e) state 0.0;
   match e.Cache.provenance with
-  | Some p -> Telemetry.Provenance.transition p ~at:(t.clock ()) state
-  | None -> ()
+  | Some p when journal -> Telemetry.Provenance.transition p ~at:(t.clock ()) state
+  | _ -> ()
 
-let register (t : t) (owner : string) : unit = Hashtbl.replace t.managed owner ()
+(* A newly managed owner's intervals become orphan candidates, which no
+   version sees: forget the last clean stamp. *)
+let register (t : t) (owner : string) : unit =
+  if not (Hashtbl.mem t.managed owner) then begin
+    Hashtbl.replace t.managed owner ();
+    t.clean <- None
+  end
+
 let managed (t : t) (owner : string) : bool = Hashtbl.mem t.managed owner
 
 let align_up v a = (v + a - 1) / a * a
@@ -163,22 +180,25 @@ let reacquire (t : t) ~(owner : string) (e : Cache.entry) :
             (* never leave a half-established reservation behind *)
             if fresh_text then P.release t.text_arena ~lo:tlo;
             Error o
-        | Ok _ ->
-            e.Cache.residency <- Cache.Placed;
+        | Ok fresh_data ->
+            let changed =
+              fresh_text || fresh_data || e.Cache.residency <> Cache.Placed
+            in
+            Cache.set_residency t.cache e Cache.Placed;
             register t owner;
-            note_transition t e "reacquired";
+            note_transition ~journal:changed t e "reacquired";
             Telemetry.Counter.incr tm_reacquired;
             Ok ())
   end
 
 let note_placed (t : t) (e : Cache.entry) : unit =
-  e.Cache.residency <- Cache.Placed;
+  Cache.set_residency t.cache e Cache.Placed;
   register t (owner_of e);
   note_transition t e "placed";
   Telemetry.Counter.incr tm_placed
 
 let note_static (t : t) (e : Cache.entry) : unit =
-  e.Cache.residency <- Cache.Static;
+  Cache.set_residency t.cache e Cache.Static;
   note_transition t e "static";
   Telemetry.Counter.incr tm_static
 
@@ -195,7 +215,7 @@ let release_extents (t : t) (e : Cache.entry) : unit =
 let demote_if_lost (t : t) (e : Cache.entry) : bool =
   if e.Cache.residency = Cache.Placed && not (backed t e) then begin
     release_extents t e;
-    e.Cache.residency <- Cache.Evicted;
+    Cache.set_residency t.cache e Cache.Evicted;
     note_transition t e "lost-reservation";
     Telemetry.Counter.incr tm_lost;
     true
@@ -232,6 +252,7 @@ let overlapping (ext : (int * int) array) : (int * int) list =
 
 let check_invariants (t : t) : violation list =
   Telemetry.Counter.incr tm_checks;
+  Telemetry.Counter.incr tm_scans;
   let out = ref [] in
   let add code fmt =
     Format.kasprintf (fun m -> out := { v_code = code; v_msg = m } :: !out) fmt
@@ -308,8 +329,28 @@ let check_exn (t : t) : unit =
   | [] -> ()
   | vs -> raise (Violation (String.concat "; " (List.map violation_message vs)))
 
-let set_self_check (t : t) (b : bool) : unit = t.checking <- b
-let self_check (t : t) : unit = if t.checking then check_exn t
+(* [check_invariants] is a pure function of the cache's entries and
+   their residency, both arenas' intervals and the managed set: the
+   first three carry versions, and growing the last clears [clean].
+   Entry images and bases are immutable. So when the versions match the
+   last clean scan, a rescan would find nothing again. A scan that
+   raised stores no stamp, so the next call rescans and raises again. *)
+let self_check (t : t) : unit =
+  match t.clean with
+  | Some s
+    when s.s_cache = Cache.version t.cache
+         && s.s_text = P.version t.text_arena
+         && s.s_data = P.version t.data_arena ->
+      Telemetry.Counter.incr tm_checks
+  | _ ->
+      check_exn t;
+      t.clean <-
+        Some
+          {
+            s_cache = Cache.version t.cache;
+            s_text = P.version t.text_arena;
+            s_data = P.version t.data_arena;
+          }
 
 (* -- eviction ------------------------------------------------------ *)
 
@@ -323,7 +364,7 @@ let evict_to_budget (t : t) ~(bytes : int) : Cache.entry list =
           (* static entries never claimed lib-arena ranges; evicted
              ones already lost theirs *)
           ());
-      e.Cache.residency <- Cache.Evicted;
+      Cache.set_residency t.cache e Cache.Evicted;
       note_transition t e "evicted";
       Telemetry.Counter.incr tm_evicted)
     victims;
@@ -394,4 +435,4 @@ let inject (t : t) (kind : seeded_violation) : unit =
               ~text_base:e.Cache.text_base ~data_base:e.Cache.data_base
               e.Cache.image
           in
-          dup.Cache.residency <- Cache.Placed)
+          Cache.set_residency t.cache dup Cache.Placed)

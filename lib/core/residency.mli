@@ -65,7 +65,11 @@ val acceptable : t -> owner:string -> Cache.entry -> bool
 
 (** Re-establish the reservations of a cached entry and mark it
     [Placed]. Never leaves a half-established reservation: if the data
-    extent fails, a freshly taken text extent is rolled back.
+    extent fails, a freshly taken text extent is rolled back. A
+    reacquisition that took no fresh reservation of an already [Placed]
+    entry adds no transition to its provenance record (a hot entry's
+    record stays bounded); it still counts and reaches the flight
+    recorder.
     [Error owner'] names the conflicting occupant (or ["fault:reserve"]
     under injection). *)
 val reacquire : t -> owner:string -> Cache.entry -> (unit, string) result
@@ -106,9 +110,10 @@ val violation_message : violation -> string
     {- no arena interval belonging to a residency-managed owner is
        orphaned — left behind with no live [Placed] entry.}}
     Intervals of unmanaged owners (e.g. [Dynload]'s per-process ranges)
-    are ignored. It runs after every request, so it costs O(n log n) in
-    the placed entries and arena intervals, plus one step per overlap
-    it reports. *)
+    are ignored. Every call is a full scan: O(n log n) in the placed
+    entries and arena intervals, plus one step per overlap it reports.
+    It counts one [residency.invariant_checks] and one
+    [residency.invariant_scans]. *)
 val check_invariants : t -> violation list
 
 (** Is [owner] residency-managed (has it ever been placed through this
@@ -118,11 +123,17 @@ val managed : t -> string -> bool
 (** @raise Violation if {!check_invariants} reports anything. *)
 val check_exn : t -> unit
 
-(** Run {!check_exn} unless self-checking was disabled. *)
+(** The check the server runs after every request, eviction and
+    dynamic load: {!check_exn}, answered without a scan when nothing it
+    reads has changed since the last clean one. The cache's and both
+    arenas' versions ({!Cache.version}, {!Constraints.Placement.version})
+    are stamped after each scan that found nothing, and registering a
+    new managed owner clears the stamp; a matching stamp returns at
+    once. The answer is the one a full scan would give. Every call
+    counts one [residency.invariant_checks]; only a scan counts a
+    [residency.invariant_scans].
+    @raise Violation if {!check_invariants} reports anything. *)
 val self_check : t -> unit
-
-(** Enable/disable the automatic self-check (default: enabled). *)
-val set_self_check : t -> bool -> unit
 
 (** {1 Fault injection} *)
 

@@ -270,9 +270,6 @@ let text_arena (t : t) : Constraints.Placement.t = t.text_arena
 let data_arena (t : t) : Constraints.Placement.t = t.data_arena
 let residency (t : t) : Residency.t = t.residency
 
-let set_self_check (t : t) (b : bool) : unit =
-  Residency.set_self_check t.residency b
-
 let resolve_graph (t : t) (path : string) :
     (Blueprint.Mgraph.node, string) result =
   lookup_graph t.ns path

@@ -103,6 +103,26 @@ let test_residency_transitions () =
   Alcotest.(check bool) "placed then evicted" true
     (List.mem "placed" states && List.mem "evicted" states)
 
+(* A hot library's record does not grow with its hits: a hit that took
+   no fresh reservation of a placed entry journals no transition, yet
+   still counts as a reacquisition. *)
+let test_hot_entry_record_bounded () =
+  let w = world () in
+  let s = w.Omos.World.server in
+  T.Provenance.set_enabled true;
+  let libc () = Omos.Server.instantiate s (Omos.Server.library "/lib/libc") in
+  let prov = provenance_of (libc ()) in
+  let n0 = List.length prov.T.Provenance.p_transitions in
+  let r0 = T.Counter.get "residency.reacquired" in
+  for _ = 1 to 10_000 do
+    assert (libc ()).Omos.Server.cache_hit
+  done;
+  T.Provenance.set_enabled false;
+  Alcotest.(check int) "transitions unchanged" n0
+    (List.length prov.T.Provenance.p_transitions);
+  Alcotest.(check int) "every hit reacquired" (r0 + 10_000)
+    (T.Counter.get "residency.reacquired")
+
 (* Bench snapshots carry construction digests. *)
 (* Followers of a burst coalesce onto the leader before its lint stage
    runs, yet the meta's findings still head the leader's journal, ahead
@@ -246,6 +266,8 @@ let () =
             test_cache_hit_serves_provenance;
           Alcotest.test_case "residency transitions" `Quick
             test_residency_transitions;
+          Alcotest.test_case "hot entry record bounded" `Quick
+            test_hot_entry_record_bounded;
           Alcotest.test_case "built digests" `Quick test_built_digests;
           Alcotest.test_case "lint heads a coalesced journal" `Quick
             test_lint_heads_coalesced_journal;
