@@ -8,11 +8,16 @@
     each page charges a soft fault (resident backing) or a disk read
     (first-ever load of a segment that is still "on disk").
 
-    The CPU reads instructions straight from the region bytes through
-    a per-page code window (see {!Svm.Cpu.mem}) that this module owns:
-    it is filled on a fetch outside it, after the same lookup, charge
-    and checks a per-instruction fetch makes, and emptied whenever the
-    mappings change. *)
+    The CPU reads instructions, and loads and stores data, straight
+    from the region bytes through a per-page code window and a per-page
+    data window (see {!Svm.Cpu.mem}) that this module owns: each is
+    filled on an access outside it, after the same lookup, charge and
+    checks a single access makes, and both are emptied whenever the
+    mappings change.
+
+    The buffer of a released private region goes back, re-zeroed, to
+    the kernel's {!Phys.t}, and a later private mapping of the same size
+    takes it instead of allocating. *)
 
 exception Fault of string
 
@@ -31,6 +36,7 @@ type region = {
   shared : bool;
   label : string;
   touched : bool array; (* per-page demand accounting *)
+  init_len : int; (* bytes copied in from [init] at map time *)
   backing : backing_state; (* residency of the segment's source *)
   frames : Phys.frame_group;
   (* extra user-time charge on first touch of each page: models
@@ -67,6 +73,7 @@ let no_region =
     shared = false;
     label = "";
     touched = [||];
+    init_len = 0;
     backing = { resident = [||] };
     frames = { Phys.id = -1; label = ""; pages = 0; refs = 0 };
     touch_user_cost = 0.0;
@@ -74,16 +81,22 @@ let no_region =
 
 let regions (t : t) = t.regions
 
-(* Empty the code window and the data hint whenever the mappings
-   change: either may point into a region that is gone, and upcalls
-   remap in the middle of a syscall. *)
+(* Empty both windows and the data hint whenever the mappings change:
+   any of them may point into a region that is gone (whose buffer may
+   already serve another mapping), and upcalls remap in the middle of a
+   syscall. *)
 let forget (t : t) : unit =
   t.hint <- no_region;
   let m = t.mem in
   m.code <- Bytes.empty;
   m.code_base <- 0;
   m.code_lo <- 0;
-  m.code_hi <- 0
+  m.code_hi <- 0;
+  m.data <- Bytes.empty;
+  m.data_base <- 0;
+  m.data_lo <- 0;
+  m.data_hi <- 0;
+  m.data_writable <- false
 
 let npages bytes = max 1 ((bytes + Cost.page_size - 1) / Cost.page_size)
 
@@ -131,6 +144,7 @@ let map_shared (t : t) ~(vaddr : int) ~(bytes : Bytes.t)
       shared = true;
       label;
       touched = Array.make (npages (Bytes.length bytes)) false;
+      init_len = 0;
       backing;
       frames;
       touch_user_cost;
@@ -139,13 +153,14 @@ let map_shared (t : t) ~(vaddr : int) ~(bytes : Bytes.t)
 (** [map_private t ~vaddr ~init ~size ~label ()] maps a private
     writable region, initialized from [init] (zero-filled beyond it).
     [backing] tracks residency of the init content's source; anonymous
-    regions omit it. *)
+    regions omit it. A recycled buffer of the right size is used if
+    there is one. *)
 let map_private (t : t) ~(vaddr : int) ?(init = Bytes.empty) ?backing
     ?(touch_user_cost = 0.0) ~(size : int) ~(label : string) () : unit =
   let size = max size (Bytes.length init) in
   let hi = vaddr + size in
   check_overlap t vaddr hi label;
-  let bytes = Bytes.make size '\000' in
+  let bytes = Phys.buffer t.phys size in
   Bytes.blit init 0 bytes 0 (Bytes.length init);
   forget t;
   insert t
@@ -157,15 +172,37 @@ let map_private (t : t) ~(vaddr : int) ?(init = Bytes.empty) ?backing
       shared = false;
       label;
       touched = Array.make (npages size) false;
+      init_len = Bytes.length init;
       backing = (match backing with Some b -> b | None -> resident_backing ());
       frames = Phys.alloc t.phys ~label ~bytes:size;
       touch_user_cost;
     }
 
+(* Drop a mapping's frames. A private region's buffer is recycled, all
+   zero again. Every write into it went through the [init] blit or a
+   store that touched the page it starts in; a word store starting in
+   the last three bytes of a page spills into the next page without
+   touching it. So zeroing the init range, and each touched page plus
+   three bytes past it, zeroes every byte that was written. *)
+let release (t : t) (r : region) : unit =
+  Phys.decref t.phys r.frames;
+  if not r.shared then begin
+    let b = r.bytes in
+    let len = Bytes.length b in
+    Bytes.fill b 0 r.init_len '\000';
+    for page = 0 to Array.length r.touched - 1 do
+      if r.touched.(page) then begin
+        let lo = page lsl page_shift in
+        Bytes.fill b lo (min (Cost.page_size + 3) (len - lo)) '\000'
+      end
+    done;
+    Phys.recycle t.phys b
+  end
+
 (** Release all mappings (process teardown). *)
 let destroy (t : t) : unit =
-  List.iter (fun r -> Phys.decref t.phys r.frames) t.regions;
   forget t;
+  List.iter (release t) t.regions;
   t.regions <- []
 
 (** [unmap t ~lo] removes the region starting at [lo] (dynamic
@@ -173,8 +210,8 @@ let destroy (t : t) : unit =
 let unmap (t : t) ~(lo : int) : unit =
   match List.find_opt (fun r -> r.lo = lo) t.regions with
   | Some r ->
-      Phys.decref t.phys r.frames;
       forget t;
+      release t r;
       t.regions <- List.filter (fun r' -> r'.lo <> lo) t.regions
   | None -> raise (Fault (Printf.sprintf "unmap: no region at 0x%x" lo))
 
@@ -226,10 +263,26 @@ let fault_stats (t : t) : int * int = (t.stats.soft_faults, t.stats.disk_faults)
 
 (* -- accessors wired into the CPU -------------------------------------- *)
 
+(* An access outside the data window, once it has passed its checks and
+   touched its page, moves the window to that page of [r]. Every later
+   access inside the page would find it touched and charge nothing, so
+   skipping them is exact. A word access that crosses the page end
+   touches only the page it starts in, so it never fits the window and
+   keeps taking this path. *)
+let open_data (t : t) (r : region) (off : int) : unit =
+  let page_lo = r.lo + (off land lnot (Cost.page_size - 1)) in
+  let m = t.mem in
+  m.data <- r.bytes;
+  m.data_base <- r.lo;
+  m.data_lo <- page_lo;
+  m.data_hi <- min (page_lo + Cost.page_size) r.hi;
+  m.data_writable <- r.writable
+
 let load8 (t : t) (addr : int) : int =
   let r = find_region t addr in
   let off = addr - r.lo in
   touch t r off;
+  open_data t r off;
   Bytes.get_uint8 r.bytes off
 
 let store8 (t : t) (addr : int) (v : int) : unit =
@@ -238,6 +291,7 @@ let store8 (t : t) (addr : int) (v : int) : unit =
     raise (Fault (Printf.sprintf "write to read-only %s at 0x%x" r.label addr));
   let off = addr - r.lo in
   touch t r off;
+  open_data t r off;
   Bytes.set_uint8 r.bytes off (v land 0xff)
 
 let load32 (t : t) (addr : int) : int =
@@ -246,6 +300,7 @@ let load32 (t : t) (addr : int) : int =
   if off + 4 > Bytes.length r.bytes then
     raise (Fault (Printf.sprintf "load32 spans end of %s at 0x%x" r.label addr));
   touch t r off;
+  open_data t r off;
   Int32.to_int (Bytes.get_int32_le r.bytes off)
 
 let store32 (t : t) (addr : int) (v : int) : unit =
@@ -256,6 +311,7 @@ let store32 (t : t) (addr : int) (v : int) : unit =
   if off + 4 > Bytes.length r.bytes then
     raise (Fault (Printf.sprintf "store32 spans end of %s at 0x%x" r.label addr));
   touch t r off;
+  open_data t r off;
   Bytes.set_int32_le r.bytes off (Int32.of_int v)
 
 (* A fetch outside the code window: the lookup, demand-paging charge
@@ -296,6 +352,11 @@ let create ~(phys : Phys.t) ~(clock : Clock.t) ~(cost : Cost.t) () : t =
           code_lo = 0;
           code_hi = 0;
           refill = (fun pc -> refill t pc);
+          data = Bytes.empty;
+          data_base = 0;
+          data_lo = 0;
+          data_hi = 0;
+          data_writable = false;
         };
     }
   in

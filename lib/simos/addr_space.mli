@@ -8,11 +8,16 @@
     (first-ever load of a segment still "on disk"), plus an optional
     per-page user cost (deferred-relocation modelling).
 
-    The CPU executes straight from the region bytes through the code
-    window of {!mem}: a fetch outside it pays the same lookup, charge
-    and checks a per-instruction fetch would, then the window moves to
-    the page holding the pc. Mapping or unmapping anything empties the
-    window. *)
+    The CPU executes, loads and stores straight from the region bytes
+    through the code and data windows of {!mem}: an access outside a
+    window pays the same lookup, charge and checks a single access
+    would, then the window moves to the page it touched. Mapping or
+    unmapping anything empties both windows.
+
+    Releasing a private region (by {!unmap} or {!destroy}) re-zeroes
+    the pages it touched and its [init] range and hands its buffer to
+    the {!Phys.t}; {!map_private} takes a buffer of the right size from
+    there before it allocates. *)
 
 exception Fault of string
 
@@ -29,6 +34,7 @@ type region = {
   shared : bool;
   label : string;
   touched : bool array; (* per-page demand accounting *)
+  init_len : int; (* bytes copied in from [init] at map time *)
   backing : backing_state;
   frames : Phys.frame_group;
   touch_user_cost : float;
@@ -58,7 +64,8 @@ val map_shared :
   unit
 
 (** Map a private writable region, initialized from [init]
-    (zero-filled beyond it). *)
+    (zero-filled beyond it), in a recycled buffer if one of its size is
+    free. *)
 val map_private :
   t ->
   vaddr:int ->
@@ -84,7 +91,8 @@ val touched_pages : t -> ?pred:(string -> bool) -> unit -> int
 (** (soft faults, disk faults) so far. *)
 val fault_stats : t -> int * int
 
-(** Raw accessors (each may fault and charges demand-paging costs). *)
+(** Raw accessors (each may fault and charges demand-paging costs; an
+    access that passes moves the data window to its page). *)
 
 val load8 : t -> int -> int
 val store8 : t -> int -> int -> unit

@@ -36,6 +36,9 @@ type t = {
   mutable next_pid : int;
   page_cache : (string, cached_seg) Hashtbl.t; (* key: path#segment *)
   read_cached : (string, unit) Hashtbl.t; (* file data brought in by read() *)
+  (* the file bytes each exec'd path's page-cache segments came from,
+     and their decoding *)
+  exec_files : (string, Bytes.t * Linker.Image.t) Hashtbl.t;
   mutable upcall : (t -> Proc.t -> Svm.Cpu.t -> int -> Svm.Cpu.sys_result) option;
   (* "#!" interpreter handlers: the paper's `#! /bin/omos` feature.
      Key = interpreter path; the handler receives the script's
@@ -56,6 +59,7 @@ let create ?(cost = Cost.hpux) () : t =
     next_pid = 1;
     page_cache = Hashtbl.create 16;
     read_cached = Hashtbl.create 16;
+    exec_files = Hashtbl.create 16;
     upcall = None;
     interpreters = Hashtbl.create 4;
     syscall_count = 0;
@@ -285,6 +289,37 @@ let map_image (k : t) (p : Proc.t) ~(key : string) ?(fresh_from_disk = false)
     Addr_space.map_private p.Proc.aspace ~vaddr:img.Linker.Image.bss_vaddr
       ~size:img.Linker.Image.bss_size ~label:(key ^ "#bss") ()
 
+(* The image in the executable file [data] at [path]. The same file
+   bytes as the last exec of [path] reuse that decoding: images are
+   immutable, and its segments are the page cache's. If the file was
+   rewritten with other bytes, its page-cache segments (and their
+   frames) and its buffer-cache mark are stale: they are dropped, so the
+   new text is demand-loaded as a fresh file. An identical rewrite keeps
+   the warm state. *)
+let decode_exec (k : t) (path : string) (data : Bytes.t) : Linker.Image.t =
+  match Hashtbl.find_opt k.exec_files path with
+  | Some (old, img) when old == data -> img
+  | prev ->
+      let img =
+        try Linker.Image.decode data
+        with Linker.Image.Decode_error m -> raise (Exec_error (path ^ ": " ^ m))
+      in
+      (match prev with
+       | Some (old, _) when not (Bytes.equal old data) ->
+           let prefix = path ^ "#" in
+           Hashtbl.filter_map_inplace
+             (fun key cs ->
+               if String.starts_with ~prefix key then begin
+                 Phys.decref k.phys cs.cs_frames;
+                 None
+               end
+               else Some cs)
+             k.page_cache;
+           Hashtbl.remove k.read_cached path
+       | Some _ | None -> ());
+      Hashtbl.replace k.exec_files path (data, img);
+      img
+
 (** Register a script interpreter ([#! <path> params...]). *)
 let register_interpreter (k : t) (path : string) handler : unit =
   Hashtbl.replace k.interpreters path handler
@@ -328,10 +363,7 @@ let rec exec (k : t) ~(path : string) ~(args : string list) : Proc.t =
   (* header + symbol parsing cost scales with file size *)
   charge_sys k
     (k.cost.Cost.parse_header_per_kb *. (float_of_int (Bytes.length data) /. 1024.0));
-  let img =
-    try Linker.Image.decode data
-    with Linker.Image.Decode_error m -> raise (Exec_error (path ^ ": " ^ m))
-  in
+  let img = decode_exec k path data in
   let p = create_process k ~args in
   map_image k p ~key:path ~fresh_from_disk:(not (Hashtbl.mem k.read_cached path)) img;
   Hashtbl.replace k.read_cached path ();

@@ -29,6 +29,9 @@ type t = {
   mutable next_pid : int;
   page_cache : (string, cached_seg) Hashtbl.t; (* key: path#segment *)
   read_cached : (string, unit) Hashtbl.t; (* file data in the buffer cache *)
+  exec_files : (string, Bytes.t * Linker.Image.t) Hashtbl.t;
+      (* the file bytes each exec'd path's page-cache segments came from,
+         and their decoding *)
   mutable upcall : (t -> Proc.t -> Svm.Cpu.t -> int -> Svm.Cpu.sys_result) option;
   interpreters :
     (string, t -> params:string list -> args:string list -> Proc.t) Hashtbl.t;
@@ -81,7 +84,11 @@ val register_interpreter :
 
 (** The traditional exec: open the executable, parse it (cost
     proportional to file size), map it. A file starting with [#!]
-    dispatches to its registered interpreter instead. *)
+    dispatches to its registered interpreter instead. The same file
+    bytes as the path's last exec reuse that exec's decoded image. If
+    the file's bytes differ from the ones it was last mapped from, its
+    page-cache segments are dropped first and it is loaded as a fresh
+    file. *)
 val exec : t -> path:string -> args:string list -> Proc.t
 
 (** Run a process to completion, charging its instructions as user

@@ -35,4 +35,17 @@ val mapped_pages : t -> int
 (** Pages saved by sharing. *)
 val saved_pages : t -> int
 
+(** Keep the all-zero buffer of a released private region for
+    {!buffer}. The newest buffers are kept up to a fixed budget per [t]
+    (about one process's heap and stack); the oldest are dropped to make
+    room. *)
+val recycle : t -> Bytes.t -> unit
+
+(** An all-zero buffer of the given size: the newest recycled one of
+    that size, taken off the list, or else a new one. *)
+val buffer : t -> int -> Bytes.t
+
+(** Bytes held in recycled buffers. *)
+val recycled_bytes : t -> int
+
 val pp : Format.formatter -> t -> unit

@@ -19,7 +19,14 @@ exception Trap of string
     charge. Any other pc goes through [refill pc], which charges and
     checks the fetch exactly as a per-instruction fetch would, and
     either raises or leaves [pc]'s instruction readable from
-    [code] at [pc - code_base] (usually by moving the window). *)
+    [code] at [pc - code_base] (usually by moving the window).
+
+    Guest loads and stores go through the {e data window} the same
+    way: [data] holds the bytes of address [data_base] at offset 0, and
+    an access whose bytes all lie in [\[data_lo, data_hi)] reads them
+    there (and writes them, if [data_writable]) with no further check
+    or charge. Any other access calls the matching accessor, which may
+    move the window. *)
 type mem = {
   load8 : int -> int;
   store8 : int -> int -> unit;
@@ -30,6 +37,11 @@ type mem = {
   mutable code_lo : int;
   mutable code_hi : int;
   refill : int -> unit;
+  mutable data : Bytes.t;
+  mutable data_base : int;
+  mutable data_lo : int;
+  mutable data_hi : int;
+  mutable data_writable : bool;
 }
 
 (** [flat_mem size] is a simple linear memory for tests and standalone
@@ -53,6 +65,13 @@ let flat_mem (size : int) : mem * Bytes.t =
       code_lo = 0;
       code_hi = size - Isa.width + 1;
       refill = (fun a -> check a Isa.width);
+      (* so is the data window: only an out-of-range access reaches the
+         accessors, which trap *)
+      data = buf;
+      data_base = 0;
+      data_lo = 0;
+      data_hi = size;
+      data_writable = true;
     }
   in
   (mem, buf)
@@ -91,88 +110,15 @@ let sext32 (x : int) : int = (x lsl 31) asr 31
 (* A register value as an unsigned 32-bit address. *)
 let addr32 = 0xFFFF_FFFF
 
-(* One handler per opcode, indexed by the {!Isa} opcode constants. A
-   handler runs after the pc has moved to the next instruction, so
-   [cpu.pc] is "next" for relative branches and return addresses. *)
-let handlers : (t -> int -> int -> int -> int -> unit) array =
-  let h = Array.make (Isa.max_opcode + 1) (fun _ _ _ _ _ -> ()) in
-  let ( => ) op f = h.(op) <- f in
-  Isa.op_halt => (fun cpu _ _ _ _ -> cpu.outcome <- Halted);
-  Isa.op_nop => (fun _ _ _ _ _ -> ());
-  Isa.op_movi => (fun cpu rd _ _ imm -> cpu.regs.(rd) <- imm);
-  Isa.op_mov => (fun cpu rd a _ _ -> let r = cpu.regs in r.(rd) <- r.(a));
-  Isa.op_add => (fun cpu rd a b _ -> let r = cpu.regs in r.(rd) <- sext32 (r.(a) + r.(b)));
-  Isa.op_sub => (fun cpu rd a b _ -> let r = cpu.regs in r.(rd) <- sext32 (r.(a) - r.(b)));
-  Isa.op_mul => (fun cpu rd a b _ -> let r = cpu.regs in r.(rd) <- sext32 (r.(a) * r.(b)));
-  (* [min_int / -1] is 2^31 here and wraps back to [min_int], as
-     [Int32.div] gives; [rem] already matches [Int32.rem] *)
-  Isa.op_div =>
-    (fun cpu rd a b _ ->
-      let r = cpu.regs in
-      if r.(b) = 0 then raise (Trap "division by zero")
-      else r.(rd) <- sext32 (r.(a) / r.(b)));
-  Isa.op_mod =>
-    (fun cpu rd a b _ ->
-      let r = cpu.regs in
-      if r.(b) = 0 then raise (Trap "division by zero") else r.(rd) <- r.(a) mod r.(b));
-  Isa.op_and => (fun cpu rd a b _ -> let r = cpu.regs in r.(rd) <- r.(a) land r.(b));
-  Isa.op_or => (fun cpu rd a b _ -> let r = cpu.regs in r.(rd) <- r.(a) lor r.(b));
-  Isa.op_xor => (fun cpu rd a b _ -> let r = cpu.regs in r.(rd) <- r.(a) lxor r.(b));
-  Isa.op_shl =>
-    (fun cpu rd a b _ -> let r = cpu.regs in r.(rd) <- sext32 (r.(a) lsl (r.(b) land 31)));
-  Isa.op_shr =>
-    (fun cpu rd a b _ ->
-      let r = cpu.regs in
-      r.(rd) <- sext32 ((r.(a) land addr32) lsr (r.(b) land 31)));
-  Isa.op_addi => (fun cpu rd a _ imm -> let r = cpu.regs in r.(rd) <- sext32 (r.(a) + imm));
-  Isa.op_cmpeq =>
-    (fun cpu rd a b _ -> let r = cpu.regs in r.(rd) <- (if r.(a) = r.(b) then 1 else 0));
-  Isa.op_cmplt =>
-    (fun cpu rd a b _ -> let r = cpu.regs in r.(rd) <- (if r.(a) < r.(b) then 1 else 0));
-  Isa.op_cmple =>
-    (fun cpu rd a b _ -> let r = cpu.regs in r.(rd) <- (if r.(a) <= r.(b) then 1 else 0));
-  Isa.op_ld =>
-    (fun cpu rd a _ imm ->
-      let r = cpu.regs in
-      r.(rd) <- cpu.mem.load32 ((r.(a) + imm) land addr32));
-  Isa.op_st =>
-    (fun cpu _ a s imm ->
-      let r = cpu.regs in
-      cpu.mem.store32 ((r.(a) + imm) land addr32) r.(s));
-  Isa.op_ldb =>
-    (fun cpu rd a _ imm ->
-      let r = cpu.regs in
-      r.(rd) <- cpu.mem.load8 ((r.(a) + imm) land addr32));
-  Isa.op_stb =>
-    (fun cpu _ a s imm ->
-      let r = cpu.regs in
-      cpu.mem.store8 ((r.(a) + imm) land addr32) (r.(s) land 0xff));
-  Isa.op_lea => (fun cpu rd _ _ imm -> cpu.regs.(rd) <- imm);
-  Isa.op_jmp => (fun cpu _ _ _ imm -> cpu.pc <- imm land addr32);
-  Isa.op_jz => (fun cpu _ a _ imm -> if cpu.regs.(a) = 0 then cpu.pc <- cpu.pc + imm);
-  Isa.op_jnz => (fun cpu _ a _ imm -> if cpu.regs.(a) <> 0 then cpu.pc <- cpu.pc + imm);
-  Isa.op_call =>
-    (fun cpu _ _ _ imm ->
-      cpu.regs.(Isa.reg_ra) <- sext32 cpu.pc;
-      cpu.pc <- imm land addr32);
-  Isa.op_callr =>
-    (fun cpu _ a _ _ ->
-      let r = cpu.regs in
-      let target = r.(a) land addr32 in
-      r.(Isa.reg_ra) <- sext32 cpu.pc;
-      cpu.pc <- target);
-  Isa.op_jmpr => (fun cpu _ a _ _ -> cpu.pc <- cpu.regs.(a) land addr32);
-  Isa.op_ret => (fun cpu _ _ _ _ -> cpu.pc <- cpu.regs.(Isa.reg_ra) land addr32);
-  Isa.op_sys =>
-    (fun cpu _ _ _ imm ->
-      match cpu.sys cpu imm with
-      | Sys_continue -> ()
-      | Sys_exit code -> cpu.outcome <- Exited code);
-  Isa.op_br => (fun cpu _ _ _ imm -> cpu.pc <- cpu.pc + imm);
-  h
-
 (* Execute the instruction at the pc of a running CPU. A bad opcode
-   raises before the pc or the count moves. *)
+   raises before the pc or the count moves. The fields are decoded once
+   and one [match] dispatches on the opcode; OCaml compiles a match on a
+   dense range of int literals to a jump table. The literals are the
+   {!Isa} [op_*] constants (a pattern cannot name a value), and the
+   reference-interpreter property in [test_svm.ml] holds each case to
+   its instruction. A case runs after the pc has moved to the next
+   instruction, so [cpu.pc] is "next" for relative branches and return
+   addresses. *)
 let[@inline] exec (cpu : t) : unit =
   let pc = cpu.pc in
   let m = cpu.mem in
@@ -182,13 +128,76 @@ let[@inline] exec (cpu : t) : unit =
   let off = pc - m.code_base in
   let op = Bytes.get_uint8 b off in
   if op > Isa.max_opcode then Encode.bad_opcode op;
+  let rd = Bytes.get_uint8 b (off + 1) in
+  let a = Bytes.get_uint8 b (off + 2) in
+  let s = Bytes.get_uint8 b (off + 3) in
+  let imm = Int32.to_int (Bytes.get_int32_le b (off + Isa.imm_offset)) in
   cpu.instr_count <- cpu.instr_count + 1;
   cpu.pc <- pc + Isa.width;
-  handlers.(op) cpu
-    (Bytes.get_uint8 b (off + 1))
-    (Bytes.get_uint8 b (off + 2))
-    (Bytes.get_uint8 b (off + 3))
-    (Int32.to_int (Bytes.get_int32_le b (off + Isa.imm_offset)))
+  let r = cpu.regs in
+  match op with
+  | 0 (* halt *) -> cpu.outcome <- Halted
+  | 1 (* nop *) -> ()
+  | 2 (* movi *) -> r.(rd) <- imm
+  | 3 (* mov *) -> r.(rd) <- r.(a)
+  | 4 (* add *) -> r.(rd) <- sext32 (r.(a) + r.(s))
+  | 5 (* sub *) -> r.(rd) <- sext32 (r.(a) - r.(s))
+  | 6 (* mul *) -> r.(rd) <- sext32 (r.(a) * r.(s))
+  (* [min_int / -1] is 2^31 here and wraps back to [min_int], as
+     [Int32.div] gives; [rem] already matches [Int32.rem] *)
+  | 7 (* div *) ->
+      if r.(s) = 0 then raise (Trap "division by zero") else r.(rd) <- sext32 (r.(a) / r.(s))
+  | 8 (* mod *) ->
+      if r.(s) = 0 then raise (Trap "division by zero") else r.(rd) <- r.(a) mod r.(s)
+  | 9 (* and *) -> r.(rd) <- r.(a) land r.(s)
+  | 10 (* or *) -> r.(rd) <- r.(a) lor r.(s)
+  | 11 (* xor *) -> r.(rd) <- r.(a) lxor r.(s)
+  | 12 (* shl *) -> r.(rd) <- sext32 (r.(a) lsl (r.(s) land 31))
+  | 13 (* shr *) -> r.(rd) <- sext32 ((r.(a) land addr32) lsr (r.(s) land 31))
+  | 14 (* addi *) -> r.(rd) <- sext32 (r.(a) + imm)
+  | 15 (* cmpeq *) -> r.(rd) <- (if r.(a) = r.(s) then 1 else 0)
+  | 16 (* cmplt *) -> r.(rd) <- (if r.(a) < r.(s) then 1 else 0)
+  | 17 (* cmple *) -> r.(rd) <- (if r.(a) <= r.(s) then 1 else 0)
+  | 18 (* ld *) ->
+      let addr = (r.(a) + imm) land addr32 in
+      r.(rd) <-
+        (if addr >= m.data_lo && addr + 4 <= m.data_hi then
+           Int32.to_int (Bytes.get_int32_le m.data (addr - m.data_base))
+         else m.load32 addr)
+  | 19 (* st *) ->
+      let addr = (r.(a) + imm) land addr32 in
+      if m.data_writable && addr >= m.data_lo && addr + 4 <= m.data_hi then
+        Bytes.set_int32_le m.data (addr - m.data_base) (Int32.of_int r.(s))
+      else m.store32 addr r.(s)
+  | 20 (* ldb *) ->
+      let addr = (r.(a) + imm) land addr32 in
+      r.(rd) <-
+        (if addr >= m.data_lo && addr < m.data_hi then
+           Bytes.get_uint8 m.data (addr - m.data_base)
+         else m.load8 addr)
+  | 21 (* stb *) ->
+      let addr = (r.(a) + imm) land addr32 in
+      if m.data_writable && addr >= m.data_lo && addr < m.data_hi then
+        Bytes.set_uint8 m.data (addr - m.data_base) (r.(s) land 0xff)
+      else m.store8 addr (r.(s) land 0xff)
+  | 22 (* lea *) -> r.(rd) <- imm
+  | 23 (* jmp *) -> cpu.pc <- imm land addr32
+  | 24 (* jz *) -> if r.(a) = 0 then cpu.pc <- cpu.pc + imm
+  | 25 (* jnz *) -> if r.(a) <> 0 then cpu.pc <- cpu.pc + imm
+  | 26 (* call *) ->
+      r.(Isa.reg_ra) <- sext32 cpu.pc;
+      cpu.pc <- imm land addr32
+  | 27 (* callr *) ->
+      let target = r.(a) land addr32 in
+      r.(Isa.reg_ra) <- sext32 cpu.pc;
+      cpu.pc <- target
+  | 28 (* jmpr *) -> cpu.pc <- r.(a) land addr32
+  | 29 (* ret *) -> cpu.pc <- r.(Isa.reg_ra) land addr32
+  | 30 (* sys *) -> (
+      match cpu.sys cpu imm with
+      | Sys_continue -> ()
+      | Sys_exit code -> cpu.outcome <- Exited code)
+  | _ (* 31, br: the last opcode; larger ones raised above *) -> cpu.pc <- cpu.pc + imm
 
 (** Execute one instruction. No-op once the CPU has halted or exited. *)
 let step (cpu : t) : unit =

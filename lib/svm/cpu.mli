@@ -18,7 +18,16 @@ exception Trap of string
     of {!Isa.width} is read from it with no further check or charge.
     Any other pc goes through [refill pc], which checks and charges the
     fetch and then either raises or leaves [pc]'s instruction readable
-    at [pc - code_base] in [code]. *)
+    at [pc - code_base] in [code].
+
+    Guest loads and stores use the {e data window} alike: an [ld],
+    [st], [ldb] or [stb] whose bytes all lie in [\[data_lo, data_hi)]
+    reads them from [data] at [addr - data_base], and a store writes
+    them there if [data_writable], with no further check or charge.
+    Any other access (one that crosses [data_hi], or a store through a
+    read-only window) calls the matching accessor, which checks and
+    charges it and may move the window. An implementation opens the
+    window only over bytes whose every access would charge nothing. *)
 type mem = {
   load8 : int -> int;
   store8 : int -> int -> unit;
@@ -29,10 +38,16 @@ type mem = {
   mutable code_lo : int;
   mutable code_hi : int;
   refill : int -> unit;
+  mutable data : Bytes.t;
+  mutable data_base : int;
+  mutable data_lo : int;
+  mutable data_hi : int;
+  mutable data_writable : bool;
 }
 
 (** [flat_mem size] is a simple linear memory for tests and standalone
-    program runs; also returns its backing buffer. *)
+    program runs; also returns its backing buffer. Both windows cover
+    the whole buffer. *)
 val flat_mem : int -> mem * Bytes.t
 
 (** Result of a syscall as decided by the environment. *)

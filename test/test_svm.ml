@@ -456,9 +456,16 @@ let outcome_of f =
   | o -> Ok o
   | exception e -> Error (Printexc.to_string e)
 
-let prop_differential =
-  QCheck.Test.make ~count:1000 ~name:"Cpu.run agrees with the decoded int32 reference"
-    arb_diff_case (fun (slots, regs) ->
+(* [flat_mem]'s data window is its whole buffer, so every in-range load
+   and store takes the interpreter's inline path. With [~data_window:false]
+   the window is emptied first and every access goes through the
+   accessors instead. *)
+let prop_differential ~data_window =
+  let name =
+    if data_window then "Cpu.run agrees with the decoded int32 reference"
+    else "Cpu.run via the accessors agrees with the reference"
+  in
+  QCheck.Test.make ~count:1000 ~name arb_diff_case (fun (slots, regs) ->
       let image = diff_image slots in
       let init = Array.copy regs in
       init.(13) <- Int32.of_int diff_data_base;
@@ -475,6 +482,7 @@ let prop_differential =
         }
       in
       let mem, buf = Cpu.flat_mem diff_mem_size in
+      if not data_window then mem.Cpu.data_hi <- 0;
       Bytes.blit image 0 buf 0 diff_mem_size;
       let cpu =
         Cpu.create
@@ -522,7 +530,12 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_roundtrip; prop_opcode_range; prop_differential ] );
+          [
+            prop_roundtrip;
+            prop_opcode_range;
+            prop_differential ~data_window:true;
+            prop_differential ~data_window:false;
+          ] );
     ]
 
 (* silence unused warnings for helpers *)
